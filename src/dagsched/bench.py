@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from .dag import compute_heights
@@ -50,14 +50,11 @@ def default_width(n_tasks: int) -> int:
 
 def run_instance(n_tasks: int, n_machines: int, width: int, ccr: float, seed: int,
                  mode: CommMode, cfg: Optional[GaConfig] = None) -> BenchRow:
-    """One grid cell: generate the instance, run GA and min-min on it."""
+    """One grid cell: generate the instance, run GA (cfg with the cell's seed) and min-min on it."""
     spec = GenSpec(n_tasks=n_tasks, width=width, ccr=ccr, seed=seed)
     g, _ = generate_random_dag(spec)
     p = generate_platform(n_machines, seed=seed)
-    if cfg is None:
-        cfg = GaConfig()
-    cfg.rng_seed = seed
-    best, _, stats = run(g, p, cfg, mode)
+    best, _, stats = run(g, p, replace(cfg or GaConfig(), rng_seed=seed), mode)
     _, mm_timeline = min_min_schedule(g, p, mode)
     seed_chromo = load_balanced_individual(g, p, compute_heights(g))
     evaluate(g, p, seed_chromo, mode)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, TextIO
 
 from . import bench as bench_mod
 from .dag import compute_heights
@@ -37,16 +37,17 @@ def _read(path: str) -> str:
         raise SchedulingError(f"cannot read {path}: {e}") from None
 
 
-def _load_dag(path: str):
+def _write(path: str, write: Callable[[TextIO], None]) -> None:
     try:
-        return parse_dag(_read(path))
-    except SchedulingError as e:
-        raise SchedulingError(f"{path}: {e}") from None
+        with open(path, "w", encoding="utf-8", newline="") as sink:
+            write(sink)
+    except OSError as e:
+        raise SchedulingError(f"cannot write {path}: {e}") from None
 
 
-def _load_platform(path: str):
+def _load(parse, path: str):
     try:
-        return parse_platform(_read(path))
+        return parse(_read(path))
     except SchedulingError as e:
         raise SchedulingError(f"{path}: {e}") from None
 
@@ -63,10 +64,9 @@ def _add_ga_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--pairs", type=int, default=None, help="parent pairs per generation")
     sp.add_argument("--mutation-rate", type=float, default=0.2)
     sp.add_argument("--crossover", choices=sorted(_CROSSOVER), default="mixed")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
-def _ga_config(args) -> GaConfig:
+def _ga_config(args, rng_seed: int = 0) -> GaConfig:
     return GaConfig(
         pop_size=args.pop,
         max_iters=args.iters,
@@ -74,13 +74,13 @@ def _ga_config(args) -> GaConfig:
         pairs_per_generation=args.pairs,
         crossover_mode=_CROSSOVER[args.crossover],
         mutation_rate=args.mutation_rate,
-        rng_seed=args.seed,
+        rng_seed=rng_seed,
     )
 
 
 def cmd_validate(args) -> int:
-    g = _load_dag(args.dag)
-    p = _load_platform(args.platform)
+    g = _load(parse_dag, args.dag)
+    p = _load(parse_platform, args.platform)
     entries = ",".join(g.task(t).name for t in g.entry_tasks())
     exits = ",".join(g.task(t).name for t in g.exit_tasks())
     print(f"{len(g)} tasks, {len(p.machines)} machines, entry={entries}, exit={exits}")
@@ -89,7 +89,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_heights(args) -> int:
-    g = _load_dag(args.dag)
+    g = _load(parse_dag, args.dag)
     heights = compute_heights(g)
     for t in g.tasks:
         print(f"{t.name}\t{heights[t.id]}")
@@ -97,23 +97,20 @@ def cmd_heights(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    g = _load_dag(args.dag)
-    p = _load_platform(args.platform)
+    g = _load(parse_dag, args.dag)
+    p = _load(parse_platform, args.platform)
     mode = _comm_mode(args.comm)
     if args.alg == "ga":
-        cfg = _ga_config(args)
-        best, timeline, stats = run(g, p, cfg, mode)
-        chromo = best
-        print(f"makespan: {timeline.makespan:.6f}")
-        print(f"iterations: {stats.iterations}")
-        print(f"seed: {cfg.rng_seed}")
+        cfg = _ga_config(args, args.seed)
+        chromo, timeline, stats = run(g, p, cfg, mode)
+        summary = f"makespan: {timeline.makespan:.6f}\niterations: {stats.iterations}\nseed: {cfg.rng_seed}"
     else:
         chromo, timeline = min_min_schedule(g, p, mode)
-        print(f"makespan: {timeline.makespan:.6f}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as sink:
-            write_schedule_log(g, p, timeline, chromo, sink)
-    else:
+        summary = f"makespan: {timeline.makespan:.6f}"
+    if args.out:  # written before the summary, so a failed write prints no makespan
+        _write(args.out, lambda sink: write_schedule_log(g, p, timeline, chromo, sink))
+    print(summary)
+    if not args.out:
         write_schedule_log(g, p, timeline, chromo, sys.stdout)
     return 0
 
@@ -136,8 +133,7 @@ def cmd_bench(args) -> int:
     cfg = _ga_config(args)
     rows = bench_mod.run_grid(shapes=shapes, n_seeds=args.seeds, ccr=args.ccr,
                               mode=_comm_mode(args.comm), cfg=cfg)
-    with open(args.out, "w", encoding="utf-8", newline="") as sink:
-        write_bench_csv(rows, sink)
+    _write(args.out, lambda sink: write_bench_csv(rows, sink))
     print(f"{len(rows)} instances -> {args.out}")
     print(f"GA <= min-min on {bench_mod.ga_win_fraction(rows):.2f} of instances")
     return 0
@@ -149,8 +145,7 @@ def cmd_gen(args) -> int:
     g, layer_of = generate_random_dag(spec)
     doc = dag_to_json(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            f.write(doc)
+        _write(args.out, lambda sink: sink.write(doc))
     else:
         sys.stdout.write(doc)
     n_layers = max(layer_of.values()) + 1
@@ -180,10 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--comm", choices=["on", "off"], default="on",
                     help="include data-transfer time in start times")
     sp.add_argument("--out", default=None, help="schedule log path (default: stdout)")
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_ga_flags(sp)
     sp.set_defaults(func=cmd_schedule)
 
-    sp = sub.add_parser("bench", help="run the GA-vs-min-min benchmark grid")
+    # no abbreviations: "--seed 3" must not pass as "--seeds 3"
+    sp = sub.add_parser("bench", help="run the GA-vs-min-min benchmark grid", allow_abbrev=False)
     sp.add_argument("--shapes", default=None,
                     help="comma-separated TASKSxMACHINES list (default: the full grid)")
     sp.add_argument("--seeds", type=int, default=bench_mod.DEFAULT_SEEDS,

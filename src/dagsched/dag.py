@@ -16,6 +16,7 @@ from .errors import (
     DuplicateEdge,
     DuplicateTaskId,
     EmptyGraph,
+    InvalidValue,
     NotReady,
     SelfLoop,
     UnknownEdgeEndpoint,
@@ -132,7 +133,7 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
         if t.id in seen_ids:
             raise DuplicateTaskId(f"duplicate task id {t.id!r}")
         if t.work < 0:
-            raise ValueError(f"task {t.id!r} has negative work {t.work}")
+            raise InvalidValue(f"task {t.id!r} has negative work {t.work}")
         seen_ids.add(t.id)
 
     parents: Dict[TaskId, List[TaskId]] = {t.id: [] for t in tasks}
@@ -147,7 +148,7 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
         if (e.src, e.dst) in seen_edges:
             raise DuplicateEdge(f"duplicate edge {e.src!r} -> {e.dst!r}")
         if e.bytes < 0:
-            raise ValueError(f"edge {e.src!r} -> {e.dst!r} has negative bytes {e.bytes}")
+            raise InvalidValue(f"edge {e.src!r} -> {e.dst!r} has negative bytes {e.bytes}")
         seen_edges.add((e.src, e.dst))
         parents[e.dst].append(e.src)
         children[e.src].append(e.dst)

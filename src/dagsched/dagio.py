@@ -12,11 +12,12 @@ import csv
 import json
 import random
 import statistics
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .dag import DataEdge, TaskGraph, TaskId, TaskNode, build_graph
-from .errors import DocumentSyntaxError, InfeasibleSpec, SchemaError
+from .errors import DocumentSyntaxError, InfeasibleSpec, InvalidValue, SchemaError
 from .evaluator import Chromosome, Timeline
 from .platform import LinkSpec, Machine, Platform, build_platform
 
@@ -28,23 +29,28 @@ def _loads(text: str):
         raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
 
 
+_NUM = (int, float)
+_MAX = sys.float_info.max
+
+
+def _is_number(v) -> bool:
+    # bool is an int subclass; json.loads accepts NaN, Infinity and ints past the float range
+    return isinstance(v, _NUM) and not isinstance(v, bool) and -_MAX <= v <= _MAX
+
+
 def _require(obj: dict, what: str, required: Dict[str, type], optional: Dict[str, type] = {}):
     if not isinstance(obj, dict):
         raise SchemaError(f"{what} must be an object, got {type(obj).__name__}")
-    for key, typ in required.items():
+    for key in required:
         if key not in obj:
             raise SchemaError(f"{what} is missing field {key!r}")
-        if not isinstance(obj[key], typ):
-            raise SchemaError(f"{what} field {key!r} must be {typ}, got {type(obj[key]).__name__}")
-    for key in obj:
-        if key not in required and key not in optional:
+    for key, value in obj.items():
+        typ = required.get(key, optional.get(key))
+        if typ is None:
             raise SchemaError(f"{what} has unexpected field {key!r}")
-    for key, typ in optional.items():
-        if key in obj and not isinstance(obj[key], typ):
-            raise SchemaError(f"{what} field {key!r} must be {typ}")
-
-
-_NUM = (int, float)
+        if not (_is_number(value) if typ is _NUM else isinstance(value, typ)):
+            expected = "a finite number" if typ is _NUM else typ.__name__
+            raise SchemaError(f"{what} field {key!r} must be {expected}, got {value!r:.40}")
 
 
 def parse_dag(text: str) -> TaskGraph:
@@ -97,8 +103,8 @@ def parse_platform(text: str) -> Platform:
     etc = doc.get("etc")
     if etc is not None:
         for tid, row in etc.items():
-            if not isinstance(row, dict) or not all(isinstance(v, _NUM) for v in row.values()):
-                raise SchemaError(f"etc row for task {tid!r} must map machine ids to numbers")
+            if not isinstance(row, dict) or not all(_is_number(v) for v in row.values()):
+                raise SchemaError(f"etc row for task {tid!r} must map machine ids to finite numbers")
     return build_platform(machines, links, default, etc)
 
 
@@ -222,7 +228,7 @@ def generate_platform(n_machines: int, seed: int = 0, bandwidth: float = 1.0,
     widen speed_range for heterogeneous-speed experiments.
     """
     if n_machines < 1:
-        raise ValueError("n_machines must be >= 1")
+        raise InvalidValue("n_machines must be >= 1")
     rng = random.Random(seed)
     machines = [Machine(id=f"m{i}", name=f"Machine{i}", speed=rng.uniform(*speed_range))
                 for i in range(1, n_machines + 1)]

@@ -5,6 +5,10 @@ class SchedulingError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidValue(SchedulingError):
+    """A number, id or setting outside its allowed range."""
+
+
 # graph construction / queries
 
 class EmptyGraph(SchedulingError):

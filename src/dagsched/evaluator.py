@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .dag import TaskGraph, TaskId, is_valid_order
 from .errors import InvalidOrder
@@ -36,36 +36,45 @@ class Timeline:
     makespan: float = 0.0
 
 
+def place(g: TaskGraph, p: Platform, tl: Timeline, tid: TaskId, mid: MachineId,
+          free_at: float, include: bool) -> Tuple[float, float]:
+    """(start, finish) of task tid on machine mid, whose parents are in tl.
+
+    The task starts at the later of its data-ready time and free_at, the time
+    machine mid becomes available. Data from a parent on mid itself is ready
+    when that parent finishes.
+    """
+    start = free_at
+    for q in g.parents(tid):
+        t = tl.finish[q]
+        if include:
+            src = tl.machine[q]
+            if src != mid:
+                t += transfer_time(p, g.edge_bytes(q, tid), src, mid)
+        if t > start:
+            start = t
+    return start, start + execution_time(p, g.task(tid), mid)
+
+
 def evaluate(g: TaskGraph, p: Platform, c: Chromosome,
              mode: CommMode = CommMode.INCLUDE_TRANSFER) -> Timeline:
     """Simulate the chromosome and stamp its fitness with the makespan.
 
     Positions are processed in chromosome order; a machine becomes available
-    only after its previously assigned task (in that order) finishes. A task
-    starts at the later of its data-ready time and its machine's availability.
+    only after its previously assigned task (in that order) finishes.
     """
-    if not is_valid_order(g, c.order):
-        raise InvalidOrder("chromosome order violates task dependencies")
+    if len(c.machines) != len(c.order) or not is_valid_order(g, c.order):
+        raise InvalidOrder("chromosome needs every task once, parents first, and one machine per task")
     tl = Timeline()
     available: Dict[MachineId, float] = {}
     include = mode is CommMode.INCLUDE_TRANSFER
-    finish = tl.finish
-    assigned = tl.machine
     for tid, mid in zip(c.order, c.machines):
-        data_ready = 0.0
-        for q in g.parents(tid):
-            t = finish[q]
-            if include:
-                t += transfer_time(p, g.edge_bytes(q, tid), assigned[q], mid)
-            if t > data_ready:
-                data_ready = t
-        start = max(data_ready, available.get(mid, 0.0))
-        end = start + execution_time(p, g.task(tid), mid)
+        start, end = place(g, p, tl, tid, mid, available.get(mid, 0.0), include)
         tl.start[tid] = start
-        finish[tid] = end
-        assigned[tid] = mid
+        tl.finish[tid] = end
+        tl.machine[tid] = mid
         available[mid] = end
-    tl.makespan = max(finish.values())
+    tl.makespan = max(tl.finish.values())
     c.fitness = tl.makespan
     return tl
 

@@ -14,16 +14,10 @@ import enum
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .dag import (
-    HeightMap,
-    TaskGraph,
-    TaskId,
-    adjust_heights,
-    compute_heights,
-    ready_tasks,
-)
+from .dag import HeightMap, TaskGraph, TaskId, adjust_heights, compute_heights, ready_tasks
+from .errors import InvalidValue
 from .evaluator import Chromosome, CommMode, Timeline, evaluate
 from .platform import Platform, execution_time
 
@@ -42,7 +36,6 @@ class GaConfig:
     pairs_per_generation: Optional[int] = None  # None -> pop_size // 4
     crossover_mode: CrossoverMode = CrossoverMode.MIXED
     mutation_rate: float = 0.2
-    heuristic_seed_count: int = 1
     rng_seed: int = 0
 
     def pairs(self) -> int:
@@ -52,22 +45,13 @@ class GaConfig:
 
     def validate(self) -> None:
         if self.pop_size < 2:
-            raise ValueError("pop_size must be >= 2")
+            raise InvalidValue("pop_size must be >= 2")
         if self.pairs() < 1:
-            raise ValueError("pairs_per_generation must be >= 1")
+            raise InvalidValue("pairs_per_generation must be >= 1")
         if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if not 0 <= self.heuristic_seed_count < self.pop_size:
-            raise ValueError("heuristic_seed_count must be < pop_size")
+            raise InvalidValue("mutation_rate must be in [0, 1]")
         if self.max_iters < 0 or self.stagnation_limit < 1:
-            raise ValueError("max_iters must be >= 0 and stagnation_limit >= 1")
-
-
-@dataclass
-class Population:
-    members: List[Chromosome]
-    generation: int
-    best_so_far: Chromosome
+            raise InvalidValue("max_iters must be >= 0 and stagnation_limit >= 1")
 
 
 @dataclass
@@ -77,57 +61,59 @@ class RunStats:
     wall_time_s: float = 0.0
 
 
-def generate_individual(g: TaskGraph, p: Platform, h: HeightMap, rng: random.Random) -> Chromosome:
-    """Random chromosome via the ready-task process; h is never modified."""
-    working = h
+def _walk(g: TaskGraph, h: HeightMap, pick: Callable[[List[TaskId]], Tuple[TaskId, str]]) -> Chromosome:
+    """Grow a chromosome by the ready-task process; h is never modified.
+
+    pick gets the tasks of adjusted height 1, in declaration order, and returns
+    the (task, machine) to append next.
+    """
     order: List[TaskId] = []
     machines: List[str] = []
-    mids = p.machine_ids
-    while True:
-        ready = ready_tasks(g, working)
-        if not ready:
-            break
-        tid = ready[rng.randrange(len(ready))]
+    ready = ready_tasks(g, h)
+    while ready:
+        tid, mid = pick(ready)
         order.append(tid)
-        machines.append(mids[rng.randrange(len(mids))])
-        working = adjust_heights(g, working, tid)
+        machines.append(mid)
+        h = adjust_heights(g, h, tid)
+        ready = ready_tasks(g, h)
     return Chromosome(order, machines)
+
+
+def generate_individual(g: TaskGraph, p: Platform, h: HeightMap, rng: random.Random) -> Chromosome:
+    """Random chromosome: a uniform ready task, then a uniform machine."""
+    mids = p.machine_ids
+    return _walk(g, h, lambda ready: (ready[rng.randrange(len(ready))], mids[rng.randrange(len(mids))]))
 
 
 def load_balanced_individual(g: TaskGraph, p: Platform, h: HeightMap) -> Chromosome:
     """Deterministic seed: first ready task, least-loaded machine."""
-    working = h
-    order: List[TaskId] = []
-    machines: List[str] = []
     load: Dict[str, float] = {m: 0.0 for m in p.machine_ids}
-    while True:
-        ready = ready_tasks(g, working)
-        if not ready:
-            break
+
+    def pick(ready: List[TaskId]) -> Tuple[TaskId, str]:
         tid = ready[0]
         # least accumulated execution time; ties go to the earliest-declared machine
         mid = min(p.machine_ids, key=lambda m: load[m])
         load[mid] += execution_time(p, g.task(tid), mid)
-        order.append(tid)
-        machines.append(mid)
-        working = adjust_heights(g, working, tid)
-    return Chromosome(order, machines)
+        return tid, mid
+
+    return _walk(g, h, pick)
 
 
-def rank_select_pairs(pop: Population, n_pairs: int, rng: random.Random) -> List[Tuple[Chromosome, Chromosome]]:
+def rank_select_pairs(members: List[Chromosome], n_pairs: int,
+                      rng: random.Random) -> List[Tuple[Chromosome, Chromosome]]:
     """Ranked selection: best member gets weight N, worst gets 1.
 
     Members with equal fitness share the mean of their ranks, so an all-equal
     population is sampled uniformly. The two parents of a pair are always
     distinct members.
     """
-    idx = sorted(range(len(pop.members)), key=lambda i: pop.members[i].fitness)
+    idx = sorted(range(len(members)), key=lambda i: members[i].fitness)
     n = len(idx)
     weights = [float(n - r) for r in range(n)]  # rank N for the best, down to 1
     at = 0
     while at < n:
         end = at
-        while end < n and pop.members[idx[end]].fitness == pop.members[idx[at]].fitness:
+        while end < n and members[idx[end]].fitness == members[idx[at]].fitness:
             end += 1
         if end - at > 1:
             mean = sum(weights[at:end]) / (end - at)
@@ -139,20 +125,18 @@ def rank_select_pairs(pop: Population, n_pairs: int, rng: random.Random) -> List
         b = a
         while b == a:
             b = rng.choices(idx, weights=weights)[0]
-        pairs.append((pop.members[a], pop.members[b]))
+        pairs.append((members[a], members[b]))
     return pairs
 
 
-def crossover_order_preserving(p1: Chromosome, p2: Chromosome, point: int,
-                               rng: random.Random) -> Tuple[Chromosome, Chromosome]:
+def crossover_order_preserving(p1: Chromosome, p2: Chromosome, point: int) -> Tuple[Chromosome, Chromosome]:
     """Swap machine genes position-wise from `point` on; orders untouched."""
     c1 = Chromosome(list(p1.order), p1.machines[:point] + p2.machines[point:])
     c2 = Chromosome(list(p2.order), p2.machines[:point] + p1.machines[point:])
     return c1, c2
 
 
-def crossover_task_aligned(p1: Chromosome, p2: Chromosome, point: int,
-                           rng: random.Random) -> Tuple[Chromosome, Chromosome]:
+def crossover_task_aligned(p1: Chromosome, p2: Chromosome, point: int) -> Tuple[Chromosome, Chromosome]:
     """Swap machines matched by task identity for tasks at positions >= point in p1."""
     swap = set(p1.order[point:])
     m1 = {t: m for t, m in zip(p1.order, p1.machines)}
@@ -199,17 +183,13 @@ def mutate(g: TaskGraph, c: Chromosome, rng: random.Random) -> Chromosome:
     return c
 
 
-def update_population(pop: Population, children: List[Chromosome]) -> Population:
-    """Merge children, keep the best pop_size; incumbents win fitness ties."""
-    size = len(pop.members)
-    merged = sorted(pop.members + children, key=lambda c: c.fitness)  # stable
-    members = merged[:size]
-    best = members[0]
-    if best.fitness < pop.best_so_far.fitness:
-        best_so_far = best
-    else:
-        best_so_far = pop.best_so_far
-    return Population(members, pop.generation + 1, best_so_far)
+def update_population(members: List[Chromosome], children: List[Chromosome]) -> List[Chromosome]:
+    """Merge children, keep the best len(members); incumbents win fitness ties.
+
+    The stable, elitist merge keeps the result sorted with the best chromosome
+    seen so far first.
+    """
+    return sorted(members + children, key=lambda c: c.fitness)[:len(members)]
 
 
 def run(g: TaskGraph, p: Platform, cfg: GaConfig,
@@ -221,31 +201,25 @@ def run(g: TaskGraph, p: Platform, cfg: GaConfig,
     heights = compute_heights(g)
     n = len(g)
 
-    members: List[Chromosome] = []
-    for _ in range(cfg.heuristic_seed_count):
-        members.append(load_balanced_individual(g, p, heights))
+    members = [load_balanced_individual(g, p, heights)]
     while len(members) < cfg.pop_size:
         members.append(generate_individual(g, p, heights, rng))
     for c in members:
         evaluate(g, p, c, mode)
     members.sort(key=lambda c: c.fitness)
-    pop = Population(members, 0, members[0])
+    # (even pair, odd pair) operators; built per run so a rebound module name takes effect
+    order, aligned = crossover_order_preserving, crossover_task_aligned
+    ops = {CrossoverMode.ORDER_PRESERVING: (order, order), CrossoverMode.TASK_ALIGNED: (aligned, aligned),
+           CrossoverMode.MIXED: (order, aligned)}[cfg.crossover_mode]
 
-    stats = RunStats(best_series=[pop.best_so_far.fitness])
+    stats = RunStats(best_series=[members[0].fitness])
     stagnant = 0
     for _ in range(cfg.max_iters):
-        prev_best = pop.best_so_far.fitness
+        prev_best = members[0].fitness
         children: List[Chromosome] = []
-        for k, (a, b) in enumerate(rank_select_pairs(pop, cfg.pairs(), rng)):
+        for k, (a, b) in enumerate(rank_select_pairs(members, cfg.pairs(), rng)):
             if n > 1:
-                point = rng.randint(1, n - 1)
-                if cfg.crossover_mode is CrossoverMode.ORDER_PRESERVING:
-                    op = crossover_order_preserving
-                elif cfg.crossover_mode is CrossoverMode.TASK_ALIGNED:
-                    op = crossover_task_aligned
-                else:
-                    op = crossover_order_preserving if k % 2 == 0 else crossover_task_aligned
-                kids = op(a, b, point, rng)
+                kids = ops[k % 2](a, b, rng.randint(1, n - 1))
             else:
                 kids = (a.copy(), b.copy())
             for child in kids:
@@ -253,17 +227,14 @@ def run(g: TaskGraph, p: Platform, cfg: GaConfig,
                     child = mutate(g, child, rng)
                 evaluate(g, p, child, mode)
                 children.append(child)
-        pop = update_population(pop, children)
+        members = update_population(members, children)
         stats.iterations += 1
-        stats.best_series.append(pop.best_so_far.fitness)
-        if pop.best_so_far.fitness < prev_best:
-            stagnant = 0
-        else:
-            stagnant += 1
+        stats.best_series.append(members[0].fitness)
+        stagnant = 0 if members[0].fitness < prev_best else stagnant + 1
         if stagnant >= cfg.stagnation_limit:
             break
 
-    best = pop.best_so_far
+    best = members[0]
     timeline = evaluate(g, p, best.copy(), mode)
     stats.wall_time_s = time.perf_counter() - t0
     return best, timeline, stats

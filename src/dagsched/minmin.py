@@ -5,53 +5,45 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .dag import TaskGraph, TaskId
-from .evaluator import Chromosome, CommMode, Timeline, evaluate
-from .platform import MachineId, Platform, execution_time, transfer_time
+# evaluate, execution_time and transfer_time stay bound: perfbench/tracing.py wraps these names
+from .evaluator import Chromosome, CommMode, Timeline, evaluate, place  # noqa: F401
+from .platform import MachineId, Platform, execution_time, transfer_time  # noqa: F401
 
 
 def min_min_schedule(g: TaskGraph, p: Platform,
                      mode: CommMode = CommMode.INCLUDE_TRANSFER) -> Tuple[Chromosome, Timeline]:
     """Greedy: repeatedly commit the ready (task, machine) pair that finishes first.
 
-    Start times follow the evaluator's semantics (max of data-ready time and
-    machine availability), so the returned Timeline is exactly what
-    ``evaluate`` reports for the returned chromosome. Ties are broken by task
-    then machine declaration order; the whole procedure is deterministic.
+    Each pair is timed by the evaluator's kernel, so the returned Timeline is
+    exactly what ``evaluate`` reports for the returned chromosome. Ties are
+    broken by task then machine declaration order; the whole procedure is
+    deterministic.
     """
     include = mode is CommMode.INCLUDE_TRANSFER
-    finish: Dict[TaskId, float] = {}
-    assigned: Dict[TaskId, MachineId] = {}
+    tl = Timeline()
     available: Dict[MachineId, float] = {m: 0.0 for m in p.machine_ids}
     unscheduled_parents = {tid: len(g.parents(tid)) for tid in g.task_ids}
     order: List[TaskId] = []
     machines: List[MachineId] = []
 
     while len(order) < len(g):
-        best = None  # (finish, task, machine)
+        best = None  # (finish, task, machine, start)
         for tid in g.task_ids:
-            if tid in assigned or unscheduled_parents[tid] > 0:
+            if tid in tl.machine or unscheduled_parents[tid] > 0:
                 continue
             for mid in p.machine_ids:
-                data_ready = 0.0
-                for q in g.parents(tid):
-                    t = finish[q]
-                    if include:
-                        t += transfer_time(p, g.edge_bytes(q, tid), assigned[q], mid)
-                    if t > data_ready:
-                        data_ready = t
-                start = max(data_ready, available[mid])
-                end = start + execution_time(p, g.task(tid), mid)
+                start, end = place(g, p, tl, tid, mid, available[mid], include)
                 if best is None or end < best[0]:
-                    best = (end, tid, mid)
-        end, tid, mid = best
-        finish[tid] = end
-        assigned[tid] = mid
+                    best = (end, tid, mid, start)
+        end, tid, mid, start = best
+        tl.start[tid] = start
+        tl.finish[tid] = end
+        tl.machine[tid] = mid
         available[mid] = end
         for c in g.children(tid):
             unscheduled_parents[c] -= 1
         order.append(tid)
         machines.append(mid)
 
-    chromo = Chromosome(order, machines)
-    timeline = evaluate(g, p, chromo, mode)
-    return chromo, timeline
+    tl.makespan = max(tl.finish.values())
+    return Chromosome(order, machines, tl.makespan), tl

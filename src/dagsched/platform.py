@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .dag import TaskId, TaskNode
-from .errors import NoLinkDefined, NonPositiveBandwidth, NonPositiveSpeed, UnknownMachine
+from .errors import InvalidValue, NoLinkDefined, NonPositiveBandwidth, NonPositiveSpeed, UnknownMachine
 
 MachineId = str
 
@@ -64,11 +64,11 @@ def build_platform(machines: Sequence[Machine],
                    etc_override: Optional[Mapping[TaskId, Mapping[MachineId, float]]] = None) -> Platform:
     """Validate and assemble a Platform."""
     if not machines:
-        raise ValueError("a platform needs at least one machine")
+        raise InvalidValue("a platform needs at least one machine")
     by_id: Dict[MachineId, Machine] = {}
     for m in machines:
         if m.id in by_id:
-            raise ValueError(f"duplicate machine id {m.id!r}")
+            raise InvalidValue(f"duplicate machine id {m.id!r}")
         if m.speed <= 0:
             raise NonPositiveSpeed(f"machine {m.id!r} has speed {m.speed}")
         by_id[m.id] = m
@@ -88,7 +88,10 @@ def build_platform(machines: Sequence[Machine],
                 if mid not in by_id:
                     raise UnknownMachine(f"etc row for task {tid!r} names unknown machine {mid!r}")
                 if val < 0:
-                    raise ValueError(f"etc[{tid!r}][{mid!r}] is negative")
+                    raise InvalidValue(f"etc[{tid!r}][{mid!r}] is negative")
+            for mid in by_id:
+                if mid not in row:
+                    raise InvalidValue(f"etc row for task {tid!r} has no entry for machine {mid!r}")
     return Platform(tuple(machines), table, default_link, etc)
 
 
@@ -96,7 +99,7 @@ def _check_link(ln: LinkSpec) -> None:
     if ln.bandwidth <= 0:
         raise NonPositiveBandwidth(f"link {ln.src!r} -> {ln.dst!r} has bandwidth {ln.bandwidth}")
     if ln.latency < 0:
-        raise ValueError(f"link {ln.src!r} -> {ln.dst!r} has negative latency")
+        raise InvalidValue(f"link {ln.src!r} -> {ln.dst!r} has negative latency")
 
 
 def execution_time(p: Platform, t: TaskNode, m: MachineId) -> float:

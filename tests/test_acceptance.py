@@ -21,7 +21,6 @@ from dagsched.dagio import GenSpec, generate_platform, generate_random_dag
 from dagsched.evaluator import Chromosome, CommMode, evaluate
 from dagsched.ga import (
     GaConfig,
-    Population,
     crossover_order_preserving,
     crossover_task_aligned,
     generate_individual,
@@ -87,7 +86,7 @@ def test_criterion_4_crossover_vectors():
                     ["M1", "M2", "M4", "M7", "M3", "M1", "M5", "M6", "M3", "M4"])
     p2 = Chromosome([f"t{i}" for i in [1, 2, 4, 8, 3, 6, 7, 9, 5, 10]],
                     ["M4", "M3", "M6", "M7", "M1", "M2", "M4", "M3", "M5", "M2"])
-    c1, c2 = crossover_order_preserving(p1, p2, 4, random.Random(0))
+    c1, c2 = crossover_order_preserving(p1, p2, 4)
     assert c1.machines == ["M1", "M2", "M4", "M7", "M1", "M2", "M4", "M3", "M5", "M2"]
     assert c2.machines == ["M4", "M3", "M6", "M7", "M3", "M1", "M5", "M6", "M3", "M4"]
     assert c1.order == p1.order and c2.order == p2.order
@@ -111,11 +110,10 @@ def test_criterion_5_dependency_preservation():
             steps += 1
             violations += not is_valid_order(g, c.order)
             evaluate(g, p, c)
-        pop = Population(sorted(members, key=lambda c: c.fitness), 0, members[0])
-        for a, b in rank_select_pairs(pop, 6, rng):
+        for a, b in rank_select_pairs(sorted(members, key=lambda c: c.fitness), 6, rng):
             point = rng.randint(1, n - 1)
-            for child in (*crossover_order_preserving(a, b, point, rng),
-                          *crossover_task_aligned(a, b, point, rng)):
+            for child in (*crossover_order_preserving(a, b, point),
+                          *crossover_task_aligned(a, b, point)):
                 steps += 1
                 violations += not is_valid_order(g, child.order)
                 mutant = mutate(g, child, rng)

@@ -116,6 +116,38 @@ class TestBench:
     def test_bad_shape(self, tmp_path, capsys):
         assert main(["bench", "--shapes", "10by2", "--out", str(tmp_path / "b.csv")]) != 0
 
+    def test_seed_flag_rejected(self, tmp_path, capsys):
+        # every cell is seeded from the grid, so a --seed would have no effect
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--shapes", "10x2", "--seed", "3", "--out", str(tmp_path / "b.csv")])
+        assert exc.value.code == 2
+
+
+class TestErrorsReported:
+    """Bad input ends in a one-line `error:` on stderr and exit status 1."""
+
+    def assert_one_line_error(self, capsys, argv, fragment):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+    def test_duplicate_machine_id(self, ref_paths, tmp_path, capsys):
+        plt = tmp_path / "dup.json"
+        plt.write_text(json.dumps({"machines": [{"id": "m1", "speed": 1}, {"id": "m1", "speed": 2}]}))
+        self.assert_one_line_error(capsys, ["validate", ref_paths[0], str(plt)],
+                                   "duplicate machine id 'm1'")
+
+    def test_population_of_one(self, ref_paths, capsys):
+        self.assert_one_line_error(capsys, ["schedule", *ref_paths, "--pop", "1"], "pop_size must be >= 2")
+
+    def test_out_in_missing_directory(self, ref_paths, tmp_path, capsys):
+        log = tmp_path / "missing_dir" / "x.log"
+        self.assert_one_line_error(capsys, ["schedule", *ref_paths, "--alg", "minmin", "--out", str(log)],
+                                   "cannot write")
+        assert not log.parent.exists()
+
 
 class TestGen:
     def test_task_count(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from dagsched.dag import (
 from dagsched.errors import (
     CycleDetected,
     DuplicateTaskId,
+    InvalidValue,
     NotReady,
     SelfLoop,
     UnknownEdgeEndpoint,
@@ -57,6 +58,14 @@ class TestBuildGraph:
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownEdgeEndpoint):
             build_graph([TaskNode("a", "a", 1.0)], [DataEdge("a", "zz", 0.0)])
+
+    def test_negative_work(self):
+        with pytest.raises(InvalidValue, match="negative work"):
+            build_graph([TaskNode("a", "a", -1.0)], [])
+
+    def test_negative_bytes(self):
+        with pytest.raises(InvalidValue, match="negative bytes"):
+            build_graph([TaskNode("a", "a", 1.0), TaskNode("b", "b", 1.0)], [DataEdge("a", "b", -1.0)])
 
 
 class TestHeights:

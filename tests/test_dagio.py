@@ -21,6 +21,7 @@ from dagsched.bench import BenchRow
 from dagsched.errors import (
     DocumentSyntaxError,
     InfeasibleSpec,
+    InvalidValue,
     NonPositiveSpeed,
     SchemaError,
     UnknownEdgeEndpoint,
@@ -95,6 +96,51 @@ class TestParsePlatform:
         p2 = parse_platform(platform_to_json(p))
         assert p2.machines == p.machines
         assert p2.default_link == p.default_link
+
+
+# a bool, NaN, the infinities and an int past the float range, as json.loads reads them
+NOT_FINITE = ["true", "false", "NaN", "Infinity", "-Infinity", "1" + "0" * 400]
+
+
+class TestRejectNonFiniteNumbers:
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    def test_work(self, value):
+        with pytest.raises(SchemaError, match="'work' must be a finite number"):
+            parse_dag('{"tasks": [{"id": "a", "work": %s}]}' % value)
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    def test_bytes(self, value):
+        doc = ('{"tasks": [{"id": "a", "work": 1}, {"id": "b", "work": 1}],'
+               ' "edges": [{"src": "a", "dst": "b", "bytes": %s}]}' % value)
+        with pytest.raises(SchemaError, match="'bytes' must be a finite number"):
+            parse_dag(doc)
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    def test_speed(self, value):
+        with pytest.raises(SchemaError, match="'speed' must be a finite number"):
+            parse_platform('{"machines": [{"id": "m", "speed": %s}]}' % value)
+
+    @pytest.mark.parametrize("where", ["links", "default_link"])
+    @pytest.mark.parametrize("field", ["bandwidth", "latency"])
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    def test_link(self, where, field, value):
+        link = {"bandwidth": 1, "latency": 0, field: "VALUE"}
+        if where == "links":
+            link = [{"src": "m", "dst": "m", **link}]
+        doc = json.dumps({"machines": [{"id": "m", "speed": 1}], where: link})
+        with pytest.raises(SchemaError, match=f"'{field}' must be a finite number"):
+            parse_platform(doc.replace('"VALUE"', value))
+
+    @pytest.mark.parametrize("value", NOT_FINITE)
+    def test_etc(self, value):
+        doc = '{"machines": [{"id": "m", "speed": 1}], "etc": {"a": {"m": %s}}}' % value
+        with pytest.raises(SchemaError, match="finite numbers"):
+            parse_platform(doc)
+
+    def test_finite_numbers_still_parse(self):
+        g = parse_dag('{"tasks": [{"id": "a", "work": 0}, {"id": "b", "work": 2.5}],'
+                      ' "edges": [{"src": "a", "dst": "b", "bytes": 1e300}]}')
+        assert g.task("a").work == 0.0 and g.edge_bytes("a", "b") == 1e300
 
 
 class TestScheduleLog:
@@ -213,3 +259,7 @@ class TestGeneratePlatform:
         p = generate_platform(90, seed=0)
         assert len(p.machines) == 90
         assert all(m.speed > 0 for m in p.machines)
+
+    def test_no_machines(self):
+        with pytest.raises(InvalidValue):
+            generate_platform(0)

@@ -64,6 +64,15 @@ class TestEvaluate:
         with pytest.raises(InvalidOrder):
             evaluate(g, p, Chromosome(["b", "a"], ["M1", "M1"]))
 
+    @pytest.mark.parametrize("machines", [["M1"], ["M1", "M1", "M1"]])
+    def test_machine_count_must_match_order(self, machines):
+        # a shorter machine list used to schedule only a prefix (makespan 3.0 here)
+        g = build_graph([TaskNode("a", "a", 3.0), TaskNode("b", "b", 4.0)], [])
+        c = Chromosome(["a", "b"], machines)
+        with pytest.raises(InvalidOrder):
+            evaluate(g, platform_of(1), c)
+        assert c.fitness is None
+
     @pytest.mark.parametrize("seed", range(10))
     def test_timeline_invariants(self, seed):
         g = random_graph(n_tasks=12, edge_prob=0.3, seed=seed)

@@ -10,11 +10,11 @@ from dagsched.dag import (
     compute_heights,
     is_valid_order,
 )
+from dagsched.errors import InvalidValue
 from dagsched.evaluator import Chromosome, CommMode, evaluate
 from dagsched.ga import (
     CrossoverMode,
     GaConfig,
-    Population,
     crossover_order_preserving,
     crossover_task_aligned,
     generate_individual,
@@ -104,8 +104,7 @@ class TestLoadBalancedIndividual:
 
 class TestRankSelection:
     def _pop(self, fitnesses):
-        members = [Chromosome(["x"], ["m"], f) for f in fitnesses]
-        return Population(members, 0, members[0])
+        return [Chromosome(["x"], ["m"], f) for f in fitnesses]
 
     def test_two_members(self):
         pop = self._pop([10.0, 20.0])
@@ -135,7 +134,7 @@ class TestRankSelection:
 class TestCrossoverOrderPreserving:
     def test_published_children(self):
         p1, p2 = parents()
-        c1, c2 = crossover_order_preserving(p1, p2, POINT, random.Random(0))
+        c1, c2 = crossover_order_preserving(p1, p2, POINT)
         assert c1.order == P1_ORDER
         assert c1.machines == ["M1", "M2", "M4", "M7", "M1", "M2", "M4", "M3", "M5", "M2"]
         assert c2.order == P2_ORDER
@@ -143,20 +142,20 @@ class TestCrossoverOrderPreserving:
 
     def test_last_position_only(self):
         p1, p2 = parents()
-        c1, c2 = crossover_order_preserving(p1, p2, 9, random.Random(0))
+        c1, c2 = crossover_order_preserving(p1, p2, 9)
         assert c1.machines == P1_MACHINES[:9] + [P2_MACHINES[9]]
         assert c2.machines == P2_MACHINES[:9] + [P1_MACHINES[9]]
 
     def test_equal_parents_fixed_point(self):
         p1, _ = parents()
-        c1, c2 = crossover_order_preserving(p1, p1.copy(), POINT, random.Random(0))
+        c1, c2 = crossover_order_preserving(p1, p1.copy(), POINT)
         assert c1.machines == c2.machines == P1_MACHINES
 
 
 class TestCrossoverTaskAligned:
     def test_derived_children(self):
         p1, p2 = parents()
-        c1, c2 = crossover_task_aligned(p1, p2, POINT, random.Random(0))
+        c1, c2 = crossover_task_aligned(p1, p2, POINT)
         assert c1.order == P1_ORDER
         assert c1.machines == ["M1", "M2", "M4", "M7", "M5", "M6", "M7", "M4", "M3", "M2"]
         assert c2.order == P2_ORDER
@@ -164,13 +163,13 @@ class TestCrossoverTaskAligned:
 
     def test_point_zero_swaps_everything(self):
         p1, p2 = parents()
-        c1, c2 = crossover_task_aligned(p1, p2, 0, random.Random(0))
+        c1, c2 = crossover_task_aligned(p1, p2, 0)
         m2 = dict(zip(P2_ORDER, P2_MACHINES))
         assert c1.machines == [m2[t] for t in P1_ORDER]
 
     def test_equal_parents_fixed_point(self):
         p1, _ = parents()
-        c1, c2 = crossover_task_aligned(p1, p1.copy(), POINT, random.Random(0))
+        c1, c2 = crossover_task_aligned(p1, p1.copy(), POINT)
         assert c1.machines == c2.machines == P1_MACHINES
 
 
@@ -215,8 +214,7 @@ class TestMutate:
 
 class TestUpdatePopulation:
     def _pop(self, fitnesses):
-        members = [Chromosome(["x"], ["m"], f) for f in sorted(fitnesses)]
-        return Population(members, 0, members[0])
+        return [Chromosome(["x"], ["m"], f) for f in sorted(fitnesses)]
 
     def _kids(self, fitnesses):
         return [Chromosome(["y"], ["m"], f) for f in fitnesses]
@@ -224,24 +222,33 @@ class TestUpdatePopulation:
     def test_worse_child_dropped(self):
         pop = self._pop([10.0, 20.0, 30.0])
         out = update_population(pop, self._kids([99.0]))
-        assert [c.fitness for c in out.members] == [10.0, 20.0, 30.0]
+        assert [c.fitness for c in out] == [10.0, 20.0, 30.0]
 
     def test_better_child_enters(self):
         pop = self._pop([10.0, 20.0, 30.0])
         out = update_population(pop, self._kids([5.0]))
-        assert [c.fitness for c in out.members] == [5.0, 10.0, 20.0]
-        assert out.best_so_far.fitness == 5.0
+        assert [c.fitness for c in out] == [5.0, 10.0, 20.0]
+        assert out[0].fitness == 5.0
 
     def test_sort_and_truncate(self):
         pop = self._pop([10.0, 20.0, 30.0])
         out = update_population(pop, self._kids([15.0, 25.0, 35.0]))
-        assert [c.fitness for c in out.members] == [10.0, 15.0, 20.0]
+        assert [c.fitness for c in out] == [10.0, 15.0, 20.0]
 
     def test_ties_favor_incumbents(self):
         pop = self._pop([10.0, 20.0])
-        incumbent = pop.members[1]
+        incumbent = pop[1]
         out = update_population(pop, self._kids([20.0]))
-        assert out.members[1] is incumbent
+        assert out[1] is incumbent
+
+
+class TestGaConfig:
+    @pytest.mark.parametrize("bad", [dict(pop_size=1), dict(pairs_per_generation=0),
+                                     dict(mutation_rate=1.5), dict(max_iters=-1),
+                                     dict(stagnation_limit=0)])
+    def test_invalid_values(self, bad):
+        with pytest.raises(InvalidValue):
+            GaConfig(**bad).validate()
 
 
 class TestRun:

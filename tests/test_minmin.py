@@ -89,6 +89,11 @@ class TestMinMin:
         again = evaluate(g, p, c.copy())
         assert again == tl
 
+    @pytest.mark.parametrize("mode", list(CommMode))
+    def test_fitness_is_makespan(self, ref_graph, mode):
+        c, tl = min_min_schedule(ref_graph, platform([1.0, 1.5], bandwidth=5.0), mode)
+        assert c.fitness == tl.makespan == max(tl.finish.values())
+
     def test_deterministic(self, ref_graph):
         p = platform([1.0, 1.5], bandwidth=5.0)
         c1, t1 = min_min_schedule(ref_graph, p)

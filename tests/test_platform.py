@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dagsched.dag import TaskNode
-from dagsched.errors import NoLinkDefined, NonPositiveSpeed, UnknownMachine
+from dagsched.errors import InvalidValue, NoLinkDefined, NonPositiveSpeed, UnknownMachine
 from dagsched.platform import (
     LinkSpec,
     Machine,
@@ -88,3 +88,27 @@ class TestTransferTime:
 def test_non_positive_speed_rejected():
     with pytest.raises(NonPositiveSpeed):
         build_platform([Machine("m", "M", 0.0)])
+
+
+class TestInvalidValues:
+    def test_no_machines(self):
+        with pytest.raises(InvalidValue):
+            build_platform([])
+
+    def test_duplicate_machine_id(self):
+        with pytest.raises(InvalidValue, match="duplicate machine id 'a'"):
+            build_platform([Machine("a", "A", 1.0), Machine("a", "A2", 2.0)])
+
+    def test_negative_latency(self):
+        with pytest.raises(InvalidValue, match="negative latency"):
+            two_machines(latency=-1.0)
+
+    def test_negative_etc_entry(self):
+        with pytest.raises(InvalidValue, match="negative"):
+            build_platform([Machine("m", "M", 1.0)], etc_override={"t": {"m": -1.0}})
+
+    def test_etc_row_must_name_every_machine(self):
+        # a row without machine "b" used to raise a bare KeyError at evaluation
+        with pytest.raises(InvalidValue, match="no entry for machine 'b'"):
+            build_platform([Machine("a", "A", 1.0), Machine("b", "B", 1.0)],
+                           etc_override={"t": {"a": 2.0}})
