@@ -22,13 +22,6 @@ from .evaluator import CommMode
 from .ga import CrossoverMode, GaConfig, run
 from .minmin import min_min_schedule
 
-_CROSSOVER = {
-    "order": CrossoverMode.ORDER_PRESERVING,
-    "aligned": CrossoverMode.TASK_ALIGNED,
-    "mixed": CrossoverMode.MIXED,
-}
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -63,7 +56,7 @@ def _add_ga_flags(sp: argparse.ArgumentParser) -> None:
                     help="stop after this many generations without improvement")
     sp.add_argument("--pairs", type=int, default=None, help="parent pairs per generation")
     sp.add_argument("--mutation-rate", type=float, default=0.2)
-    sp.add_argument("--crossover", choices=sorted(_CROSSOVER), default="mixed")
+    sp.add_argument("--crossover", choices=[m.value for m in CrossoverMode], default="mixed")
 
 
 def _ga_config(args, rng_seed: int = 0) -> GaConfig:
@@ -72,7 +65,7 @@ def _ga_config(args, rng_seed: int = 0) -> GaConfig:
         max_iters=args.iters,
         stagnation_limit=args.stagnation,
         pairs_per_generation=args.pairs,
-        crossover_mode=_CROSSOVER[args.crossover],
+        crossover_mode=CrossoverMode(args.crossover),
         mutation_rate=args.mutation_rate,
         rng_seed=rng_seed,
     )
@@ -131,6 +124,7 @@ def _parse_shapes(text: str):
 def cmd_bench(args) -> int:
     shapes = _parse_shapes(args.shapes) if args.shapes else bench_mod.DEFAULT_SHAPES
     cfg = _ga_config(args)
+    _write(args.out, lambda sink: None)  # a bad --out fails here, before the grid runs
     rows = bench_mod.run_grid(shapes=shapes, n_seeds=args.seeds, ccr=args.ccr,
                               mode=_comm_mode(args.comm), cfg=cfg)
     _write(args.out, lambda sink: write_bench_csv(rows, sink))

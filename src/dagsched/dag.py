@@ -8,8 +8,9 @@ other task sits one level below its deepest parent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     CycleDetected,
@@ -57,7 +58,6 @@ class TaskGraph:
         self.topo_order = topo_order
         self._by_id = {t.id: t for t in tasks}
         self._bytes = {(e.src, e.dst): e.bytes for e in edges}
-        self._descendants: Dict[TaskId, FrozenSet[TaskId]] = {}
 
     @property
     def task_ids(self) -> Tuple[TaskId, ...]:
@@ -86,21 +86,6 @@ class TaskGraph:
 
     def exit_tasks(self) -> List[TaskId]:
         return [t.id for t in self.tasks if not self._children[t.id]]
-
-    def descendants(self, tid: TaskId) -> FrozenSet[TaskId]:
-        """All tasks reachable from tid by a path of length >= 1 (cached)."""
-        cached = self._descendants.get(tid)
-        if cached is None:
-            seen = set()
-            stack = list(self._children[tid])
-            while stack:
-                cur = stack.pop()
-                if cur not in seen:
-                    seen.add(cur)
-                    stack.extend(self._children[cur])
-            cached = frozenset(seen)
-            self._descendants[tid] = cached
-        return cached
 
 
 def _find_cycle(remaining: Sequence[TaskId], parents: Dict[TaskId, Tuple[TaskId, ...]]) -> List[TaskId]:
@@ -132,8 +117,9 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
     for t in tasks:
         if t.id in seen_ids:
             raise DuplicateTaskId(f"duplicate task id {t.id!r}")
-        if t.work < 0:
-            raise InvalidValue(f"task {t.id!r} has negative work {t.work}")
+        if not 0 <= t.work < math.inf:
+            kind = "negative" if t.work < 0 else "non-finite"
+            raise InvalidValue(f"task {t.id!r} has {kind} work {t.work}")
         seen_ids.add(t.id)
 
     parents: Dict[TaskId, List[TaskId]] = {t.id: [] for t in tasks}
@@ -147,8 +133,9 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
             raise UnknownEdgeEndpoint(f"edge {e.src!r} -> {e.dst!r} names unknown task {missing!r}")
         if (e.src, e.dst) in seen_edges:
             raise DuplicateEdge(f"duplicate edge {e.src!r} -> {e.dst!r}")
-        if e.bytes < 0:
-            raise InvalidValue(f"edge {e.src!r} -> {e.dst!r} has negative bytes {e.bytes}")
+        if not 0 <= e.bytes < math.inf:
+            kind = "negative" if e.bytes < 0 else "non-finite"
+            raise InvalidValue(f"edge {e.src!r} -> {e.dst!r} has {kind} bytes {e.bytes}")
         seen_edges.add((e.src, e.dst))
         parents[e.dst].append(e.src)
         children[e.src].append(e.dst)
@@ -212,7 +199,15 @@ def ready_tasks(g: TaskGraph, h: HeightMap) -> List[TaskId]:
 
 def is_ancestor(g: TaskGraph, a: TaskId, b: TaskId) -> bool:
     """True iff a directed path a -> ... -> b exists (false for a == b)."""
-    return b in g.descendants(a)
+    seen, stack = set(), list(g.children(a))
+    while stack:
+        cur = stack.pop()
+        if cur == b:
+            return True
+        if cur not in seen:
+            seen.add(cur)
+            stack.extend(g.children(cur))
+    return False
 
 
 def is_valid_order(g: TaskGraph, order: Sequence[TaskId]) -> bool:

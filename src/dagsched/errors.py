@@ -51,11 +51,11 @@ class NoLinkDefined(SchedulingError):
     pass
 
 
-class NonPositiveSpeed(SchedulingError):
+class NonPositiveSpeed(InvalidValue):
     pass
 
 
-class NonPositiveBandwidth(SchedulingError):
+class NonPositiveBandwidth(InvalidValue):
     pass
 
 

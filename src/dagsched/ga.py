@@ -14,6 +14,7 @@ import enum
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .dag import HeightMap, TaskGraph, TaskId, adjust_heights, compute_heights, ready_tasks
@@ -109,22 +110,19 @@ def rank_select_pairs(members: List[Chromosome], n_pairs: int,
     """
     idx = sorted(range(len(members)), key=lambda i: members[i].fitness)
     n = len(idx)
-    weights = [float(n - r) for r in range(n)]  # rank N for the best, down to 1
-    at = 0
-    while at < n:
-        end = at
-        while end < n and members[idx[end]].fitness == members[idx[at]].fitness:
-            end += 1
-        if end - at > 1:
-            mean = sum(weights[at:end]) / (end - at)
-            weights[at:end] = [mean] * (end - at)
-        at = end
+    # rank N for the best, down to 1; a tie group of k at rank offset `at`
+    # shares the mean of its ranks, n - at - (k - 1) / 2, exact in floats
+    weights: List[float] = []
+    for _, group in groupby(idx, key=lambda i: members[i].fitness):
+        k, at = len(list(group)), len(weights)
+        weights += [n - at - (k - 1) / 2] * k
+    cum = list(accumulate(weights))  # what choices(weights=) would build on every draw
     pairs = []
     for _ in range(n_pairs):
-        a = rng.choices(idx, weights=weights)[0]
+        a = rng.choices(idx, cum_weights=cum)[0]
         b = a
         while b == a:
-            b = rng.choices(idx, weights=weights)[0]
+            b = rng.choices(idx, cum_weights=cum)[0]
         pairs.append((members[a], members[b]))
     return pairs
 
@@ -146,28 +144,29 @@ def crossover_task_aligned(p1: Chromosome, p2: Chromosome, point: int) -> Tuple[
     return c1, c2
 
 
-def _swap_is_safe(g: TaskGraph, order: List[TaskId], i: int, j: int) -> bool:
-    # moving order[i] after the i..j window must not pass one of its
-    # descendants, and moving order[j] to the front of the window must not
-    # pass one of its ancestors
-    ti, tj = order[i], order[j]
-    for k in range(i + 1, j + 1):
-        if order[k] in g.descendants(ti):
-            return False
-    for k in range(i, j):
-        if tj in g.descendants(order[k]):
-            return False
-    return True
-
-
 def mutate(g: TaskGraph, c: Chromosome, rng: random.Random) -> Chromosome:
     """Swap two dependency-safe positions (tasks travel with their machines).
+
+    In a valid order, swapping i < j is safe iff no child of order[i] sits in
+    (i, j] and no parent of order[j] in [i, j): positions rise along every
+    path, so a descendant of order[i] (an ancestor of order[j]) inside the
+    window is reached through a child (a parent) inside it. One pass over the
+    edges thus makes each draw's test O(1).
 
     Gives up and returns the chromosome unchanged after n^2 failed draws.
     """
     n = len(c.order)
     if n < 2:
         return c
+    pos = {t: k for k, t in enumerate(c.order)}
+    first_child = [n] * n  # earliest position of a child of order[k]
+    last_parent = [-1] * n  # latest position of a parent of order[k]
+    for e in g.edges:
+        a, b = pos[e.src], pos[e.dst]
+        if b < first_child[a]:
+            first_child[a] = b
+        if a > last_parent[b]:
+            last_parent[b] = a
     for _ in range(n * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -175,7 +174,7 @@ def mutate(g: TaskGraph, c: Chromosome, rng: random.Random) -> Chromosome:
             continue
         if i > j:
             i, j = j, i
-        if _swap_is_safe(g, c.order, i, j):
+        if j < first_child[i] and last_parent[j] < i:
             out = Chromosome(list(c.order), list(c.machines))
             out.order[i], out.order[j] = out.order[j], out.order[i]
             out.machines[i], out.machines[j] = out.machines[j], out.machines[i]

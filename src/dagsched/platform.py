@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -69,7 +70,7 @@ def build_platform(machines: Sequence[Machine],
     for m in machines:
         if m.id in by_id:
             raise InvalidValue(f"duplicate machine id {m.id!r}")
-        if m.speed <= 0:
+        if not 0 < m.speed < math.inf:
             raise NonPositiveSpeed(f"machine {m.id!r} has speed {m.speed}")
         by_id[m.id] = m
     table: Dict[Tuple[MachineId, MachineId], LinkSpec] = {}
@@ -87,8 +88,9 @@ def build_platform(machines: Sequence[Machine],
             for mid, val in row.items():
                 if mid not in by_id:
                     raise UnknownMachine(f"etc row for task {tid!r} names unknown machine {mid!r}")
-                if val < 0:
-                    raise InvalidValue(f"etc[{tid!r}][{mid!r}] is negative")
+                if not 0 <= val < math.inf:
+                    kind = "negative" if val < 0 else "non-finite"
+                    raise InvalidValue(f"etc[{tid!r}][{mid!r}] is {kind}: {val}")
             for mid in by_id:
                 if mid not in row:
                     raise InvalidValue(f"etc row for task {tid!r} has no entry for machine {mid!r}")
@@ -96,10 +98,11 @@ def build_platform(machines: Sequence[Machine],
 
 
 def _check_link(ln: LinkSpec) -> None:
-    if ln.bandwidth <= 0:
+    if not 0 < ln.bandwidth < math.inf:
         raise NonPositiveBandwidth(f"link {ln.src!r} -> {ln.dst!r} has bandwidth {ln.bandwidth}")
-    if ln.latency < 0:
-        raise InvalidValue(f"link {ln.src!r} -> {ln.dst!r} has negative latency")
+    if not 0 <= ln.latency < math.inf:
+        kind = "negative" if ln.latency < 0 else "non-finite"
+        raise InvalidValue(f"link {ln.src!r} -> {ln.dst!r} has {kind} latency {ln.latency}")
 
 
 def execution_time(p: Platform, t: TaskNode, m: MachineId) -> float:

@@ -1,8 +1,10 @@
 """Independent brute-force oracles, deliberately naive.
 
 Nothing here shares code with the library's scheduling path: heights come
-from exhaustive path enumeration, reachability from plain DFS, and optimal
-makespans from enumerating every valid order and machine assignment.
+from exhaustive path enumeration, reachability from plain DFS, swap safety
+from scanning the whole swap window for descendants and ancestors, ranked
+selection from weights handed to every draw, and optimal makespans from
+enumerating every valid order and machine assignment.
 """
 
 import itertools
@@ -47,6 +49,38 @@ def reachable_by_dfs(g, a):
 
     visit(a)
     return seen
+
+
+def swap_is_safe_by_descendants(reach, order, i, j):
+    """Whether swapping positions i < j keeps every dependency: order[i] may
+    pass no descendant of its own, and order[j] no ancestor of its own.
+    reach maps each task to its descendants (reachable_by_dfs)."""
+    if any(order[k] in reach[order[i]] for k in range(i + 1, j + 1)):
+        return False
+    return not any(order[j] in reach[order[k]] for k in range(i, j))
+
+
+def tie_averaged_rank_pairs(members, n_pairs, rng):
+    """Ranked selection drawn with per-draw weights: rank N for the best down
+    to 1, each group of equal fitness sharing the mean of its ranks."""
+    idx = sorted(range(len(members)), key=lambda i: members[i].fitness)
+    n = len(idx)
+    weights = [float(n - r) for r in range(n)]
+    at = 0
+    while at < n:
+        end = at
+        while end < n and members[idx[end]].fitness == members[idx[at]].fitness:
+            end += 1
+        weights[at:end] = [sum(weights[at:end]) / (end - at)] * (end - at)
+        at = end
+    pairs = []
+    for _ in range(n_pairs):
+        a = rng.choices(idx, weights=weights)[0]
+        b = a
+        while b == a:
+            b = rng.choices(idx, weights=weights)[0]
+        pairs.append((members[a], members[b]))
+    return pairs
 
 
 def brute_force_evaluate(g, p, order, machines, include_transfer=True):

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# the same examples on every run, and no deadline on a machine whose speed varies
+settings.register_profile("pinned", derandomize=True, deadline=None, database=None)
+settings.load_profile("pinned")
 
 from dagsched.dag import DataEdge, TaskNode, build_graph
 from dagsched.platform import LinkSpec, Machine, build_platform

@@ -1,0 +1,33 @@
+"""The benchmark's traced run still reaches every layer it reports.
+
+perfbench/tracing.py wraps module-level names of the package. A name the
+package no longer has, or no longer calls, leaves its per-layer metric at
+None, and the benchmark's result line then carries a null. A tiny traced run
+catches that here, before the benchmark does.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import run  # noqa: E402  (puts the checkout's src on sys.path before the imports below)
+import tracing  # noqa: E402
+from workloads import DocWorkload  # noqa: E402
+
+
+def test_a_tiny_traced_run_measures_every_per_layer_metric():
+    workload = DocWorkload("contract", n_tasks=30, width=5, n_machines=4, comm=True, etc=False,
+                           ga_overrides={"pop_size": 20, "max_iters": 5}, min_units=1)
+    tracer = tracing.Tracer()
+    tally = run.Tally()
+    run.traced_pairs(workload, run.seeded_units(workload, 1), 0, tally, tracer)
+    assert (tally.attempted, tally.failed) == (2, 0)
+    assert tracer.missing == []
+    layers = tracing.layer_metrics(tracer)
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    # trace.overhead_pct comes from run.py's timing of whole runs, not from the spans
+    unmeasured = [name for name in names if name != "trace.overhead_pct" and layers.get(name) is None]
+    assert unmeasured == []

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from dagsched import bench as bench_mod
+from dagsched import cli as cli_mod
+from dagsched import ga
 from dagsched.cli import main
 
 from conftest import REF_EDGES, REF_WORKS
@@ -101,6 +104,22 @@ class TestSchedule:
             makespans[alg] = float(out.splitlines()[0].split(":")[1])
         assert makespans["ga"] <= makespans["minmin"] + 1e-9
 
+    @pytest.mark.parametrize("flag, mode", [("order", ga.CrossoverMode.ORDER_PRESERVING),
+                                            ("aligned", ga.CrossoverMode.TASK_ALIGNED)])
+    def test_crossover_flag(self, ref_paths, monkeypatch, capsys, flag, mode):
+        seen = []
+
+        def spy(g, p, cfg, comm):
+            seen.append(cfg.crossover_mode)
+            return ga.run(g, p, cfg, comm)
+
+        monkeypatch.setattr(cli_mod, "run", spy)
+        argv = ["schedule", *ref_paths, "--seed", "3", "--pop", "10", "--iters", "5", "--crossover", flag]
+        assert main(argv) == 0
+        assert seen == [mode]
+        out = capsys.readouterr().out
+        assert out.startswith("makespan: ") and "Simulation Time: " in out
+
 
 class TestBench:
     def test_single_cell(self, tmp_path, capsys):
@@ -147,6 +166,15 @@ class TestErrorsReported:
         self.assert_one_line_error(capsys, ["schedule", *ref_paths, "--alg", "minmin", "--out", str(log)],
                                    "cannot write")
         assert not log.parent.exists()
+
+    def test_bench_out_checked_before_the_grid_runs(self, tmp_path, capsys, monkeypatch):
+        def no_grid(**kwargs):
+            raise AssertionError("the grid ran before --out was checked")
+
+        monkeypatch.setattr(bench_mod, "run_grid", no_grid)
+        out_csv = tmp_path / "missing_dir" / "x.csv"
+        self.assert_one_line_error(capsys, ["bench", "--shapes", "10x2", "--seeds", "1", "--out", str(out_csv)],
+                                   "cannot write")
 
 
 class TestGen:

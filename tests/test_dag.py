@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -66,6 +67,16 @@ class TestBuildGraph:
     def test_negative_bytes(self):
         with pytest.raises(InvalidValue, match="negative bytes"):
             build_graph([TaskNode("a", "a", 1.0), TaskNode("b", "b", 1.0)], [DataEdge("a", "b", -1.0)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_work(self, value):
+        with pytest.raises(InvalidValue, match="work"):
+            build_graph([TaskNode("a", "a", value)], [])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bytes(self, value):
+        with pytest.raises(InvalidValue, match="bytes"):
+            build_graph([TaskNode("a", "a", 1.0), TaskNode("b", "b", 1.0)], [DataEdge("a", "b", value)])
 
 
 class TestHeights:

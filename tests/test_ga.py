@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dagsched.dag import (
     DataEdge,
@@ -26,7 +28,13 @@ from dagsched.ga import (
 )
 from dagsched.platform import LinkSpec, Machine, build_platform
 
-from _oracles import brute_force_optimum, random_graph
+from _oracles import (
+    brute_force_optimum,
+    random_graph,
+    reachable_by_dfs,
+    swap_is_safe_by_descendants,
+    tie_averaged_rank_pairs,
+)
 from conftest import make_ref_graph
 
 # reproduction example: the published pair of parent solutions
@@ -130,6 +138,15 @@ class TestRankSelection:
         for n in counts.values():
             assert n / 40_000 == pytest.approx(0.25, abs=0.05)
 
+    @given(st.lists(st.integers(0, 4).map(float), min_size=2, max_size=40), st.integers(0, 2**32 - 1))
+    def test_same_draws_as_per_draw_tie_averaged_weights(self, fitnesses, seed):
+        pop = self._pop(fitnesses)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = rank_select_pairs(pop, 30, rng)
+        want = tie_averaged_rank_pairs(pop, 30, ref_rng)
+        assert [(id(a), id(b)) for a, b in got] == [(id(a), id(b)) for a, b in want]
+        assert rng.getstate() == ref_rng.getstate()
+
 
 class TestCrossoverOrderPreserving:
     def test_published_children(self):
@@ -210,6 +227,56 @@ class TestMutate:
         assert is_valid_order(g, out.order)
         diffs = sum(1 for x, y in zip(c.order, out.order) if x != y)
         assert diffs in (0, 2)
+
+
+class Redraw(Exception):
+    pass
+
+
+class OneDraw:
+    """randrange gives i, then j, then raises Redraw: mutate swaps the pair or draws again."""
+
+    def __init__(self, i, j):
+        self.draws = [j, i]
+
+    def randrange(self, n):
+        if not self.draws:
+            raise Redraw
+        return self.draws.pop()
+
+
+@st.composite
+def dags_with_valid_orders(draw):
+    n = draw(st.integers(2, 30))
+    g = random_graph(n, draw(st.floats(0.0, 0.6)), draw(st.integers(0, 2**32 - 1)))
+    waiting = {t: len(g.parents(t)) for t in g.task_ids}
+    ready = [t for t in g.task_ids if waiting[t] == 0]
+    order = []
+    while ready:
+        order.append(ready.pop(draw(st.integers(0, len(ready) - 1))))
+        for c in g.children(order[-1]):
+            waiting[c] -= 1
+            if waiting[c] == 0:
+                ready.append(c)
+    return g, order
+
+
+class TestMutateAgainstDescendantScan:
+    @given(dags_with_valid_orders())
+    def test_every_pair(self, case):
+        g, order = case
+        reach = {t: reachable_by_dfs(g, t) for t in order}
+        c = Chromosome(order, [f"M{k}" for k in range(len(order))])
+        for i in range(len(order)):
+            for j in range(i + 1, len(order)):
+                try:
+                    out = mutate(g, c, OneDraw(i, j))
+                except Redraw:
+                    out = None
+                assert (out is not None) == swap_is_safe_by_descendants(reach, order, i, j)
+                if out is not None:
+                    assert (out.order[i], out.order[j]) == (order[j], order[i])
+                    assert is_valid_order(g, out.order)
 
 
 class TestUpdatePopulation:

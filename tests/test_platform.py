@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -106,6 +107,26 @@ class TestInvalidValues:
     def test_negative_etc_entry(self):
         with pytest.raises(InvalidValue, match="negative"):
             build_platform([Machine("m", "M", 1.0)], etc_override={"t": {"m": -1.0}})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_speed(self, value):
+        with pytest.raises(InvalidValue, match="speed"):
+            build_platform([Machine("m", "M", value)])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bandwidth(self, value):
+        with pytest.raises(InvalidValue, match="bandwidth"):
+            two_machines(bandwidth=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_latency(self, value):
+        with pytest.raises(InvalidValue, match="latency"):
+            two_machines(latency=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_etc_entry(self, value):
+        with pytest.raises(InvalidValue, match=r"etc\['t'\]\['m'\]"):
+            build_platform([Machine("m", "M", 1.0)], etc_override={"t": {"m": value}})
 
     def test_etc_row_must_name_every_machine(self):
         # a row without machine "b" used to raise a bare KeyError at evaluation
