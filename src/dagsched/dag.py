@@ -56,12 +56,9 @@ class TaskGraph:
         self._parents = parents
         self._children = children
         self.topo_order = topo_order
+        self.task_ids = tuple(t.id for t in tasks)
         self._by_id = {t.id: t for t in tasks}
         self._bytes = {(e.src, e.dst): e.bytes for e in edges}
-
-    @property
-    def task_ids(self) -> Tuple[TaskId, ...]:
-        return tuple(t.id for t in self.tasks)
 
     def task(self, tid: TaskId) -> TaskNode:
         return self._by_id[tid]
@@ -184,11 +181,13 @@ def adjust_heights(g: TaskGraph, h: HeightMap, selected: TaskId) -> HeightMap:
     if h.get(selected) != 1:
         raise NotReady(f"task {selected!r} has height {h.get(selected)!r}, not 1")
     new: HeightMap = {}
+    get, parents = new.__getitem__, g._parents
     for tid in g.topo_order:
         if tid == selected or h[tid] == 0:
             new[tid] = 0
         else:
-            new[tid] = 1 + max((new[p] for p in g.parents(tid)), default=0)
+            ps = parents[tid]
+            new[tid] = 1 + max(map(get, ps)) if ps else 1
     return new
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import statistics
 import sys
@@ -163,7 +164,7 @@ class GenSpec:
 
     def validate(self) -> None:
         lo, hi = self.work_range
-        if self.n_tasks < 1 or self.width < 1 or self.ccr < 0 or not (0 < lo <= hi):
+        if self.n_tasks < 1 or self.width < 1 or not 0 <= self.ccr < math.inf or not 0 < lo <= hi < math.inf:
             raise InfeasibleSpec(f"invalid generator spec: {self}")
 
 

@@ -43,11 +43,8 @@ class Platform:
         self.links = links
         self.default_link = default_link
         self.etc_override = etc_override
+        self.machine_ids = tuple(m.id for m in machines)
         self._by_id = {m.id: m for m in machines}
-
-    @property
-    def machine_ids(self) -> Tuple[MachineId, ...]:
-        return tuple(m.id for m in self.machines)
 
     def machine(self, mid: MachineId) -> Machine:
         try:
@@ -115,8 +112,9 @@ def execution_time(p: Platform, t: TaskNode, m: MachineId) -> float:
 
 def transfer_time(p: Platform, nbytes: float, src: MachineId, dst: MachineId) -> float:
     """Time to move nbytes from src to dst; 0 within one machine."""
-    p.machine(src)
-    p.machine(dst)
+    if src not in p._by_id or dst not in p._by_id:
+        p.machine(src)  # raises UnknownMachine, naming src first
+        p.machine(dst)
     if src == dst:
         return 0.0
     link = p.links.get((src, dst), p.default_link)

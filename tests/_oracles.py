@@ -1,10 +1,10 @@
 """Independent brute-force oracles, deliberately naive.
 
-Nothing here shares code with the library's scheduling path: heights come
-from exhaustive path enumeration, reachability from plain DFS, swap safety
-from scanning the whole swap window for descendants and ancestors, ranked
-selection from weights handed to every draw, and optimal makespans from
-enumerating every valid order and machine assignment.
+Nothing here shares code with the library's scheduling path: heights and
+adjusted heights come from exhaustive path enumeration, reachability from
+plain DFS, swap safety from scanning the whole swap window for descendants
+and ancestors, ranked selection from weights handed to every draw, and
+optimal makespans from enumerating every valid order and machine assignment.
 """
 
 import itertools
@@ -35,6 +35,21 @@ def heights_by_path_enumeration(g):
     for path in all_paths_from_entries(g):
         tid = path[-1]
         best[tid] = max(best.get(tid, 0), len(path))
+    return best
+
+
+def adjusted_heights_by_path_enumeration(g, scheduled):
+    """0 for a scheduled task; any other task gets 1 + its longest chain of
+    unscheduled ancestors, i.e. the node count of the longest path of
+    unscheduled tasks that ends at it."""
+    best = {t: 0 for t in g.task_ids}
+    for path in all_paths_from_entries(g):
+        run = 0
+        for t in reversed(path):
+            if t in scheduled:
+                break
+            run += 1
+        best[path[-1]] = max(best[path[-1]], run)
     return best
 
 

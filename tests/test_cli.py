@@ -176,6 +176,13 @@ class TestErrorsReported:
         self.assert_one_line_error(capsys, ["bench", "--shapes", "10x2", "--seeds", "1", "--out", str(out_csv)],
                                    "cannot write")
 
+    @pytest.mark.parametrize("flag, value", [("--ccr", "nan"), ("--ccr", "inf"), ("--work-hi", "inf")])
+    def test_gen_non_finite_flag_fails_at_the_spec(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "gen.json"
+        self.assert_one_line_error(capsys, ["gen", "--tasks", "5", flag, value, "--out", str(out)],
+                                   "invalid generator spec")
+        assert not out.exists()
+
 
 class TestGen:
     def test_task_count(self, tmp_path, capsys):

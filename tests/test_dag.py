@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dagsched.dag import (
     DataEdge,
@@ -22,7 +24,12 @@ from dagsched.errors import (
     UnknownEdgeEndpoint,
 )
 
-from _oracles import heights_by_path_enumeration, random_graph, reachable_by_dfs
+from _oracles import (
+    adjusted_heights_by_path_enumeration,
+    heights_by_path_enumeration,
+    random_graph,
+    reachable_by_dfs,
+)
 
 
 def chain(n):
@@ -40,6 +47,10 @@ class TestBuildGraph:
     def test_single_task(self):
         g = build_graph([TaskNode("a", "a", 1.0)], [])
         assert g.entry_tasks() == g.exit_tasks() == ["a"]
+
+    def test_task_ids_tuple_in_declaration_order(self):
+        g = build_graph([TaskNode(t, t, 1.0) for t in ("c", "a", "b")], [DataEdge("b", "c", 0.0)])
+        assert g.task_ids == ("c", "a", "b") and type(g.task_ids) is tuple
 
     def test_smallest_cycle(self):
         tasks = [TaskNode("t1", "t1", 1.0), TaskNode("t2", "t2", 1.0)]
@@ -142,6 +153,37 @@ class TestAdjustHeights:
                 if tid != sel and h[tid] > 0:
                     assert h2[tid] >= 1
             h = h2
+
+
+@st.composite
+def graphs_with_height_maps(draw):
+    """A random DAG, a height map over it and a task at height 1 in that map.
+
+    The map is either the adjusted heights of a random zero set, as the GA
+    builds them, or arbitrary: any zero set, any other values.
+    """
+    g = random_graph(draw(st.integers(1, 9)), draw(st.floats(0.0, 0.6)), draw(st.integers(0, 2**32 - 1)))
+    zeros = {t for t in g.task_ids if draw(st.booleans())}
+    if draw(st.booleans()):
+        h = adjusted_heights_by_path_enumeration(g, zeros)
+        selected = [t for t in g.task_ids if h[t] == 1]
+    else:
+        h = {t: 0 if t in zeros else draw(st.integers(-3, 12).filter(bool)) for t in g.task_ids}
+        selected = list(g.task_ids)
+    assume(selected)
+    tid = draw(st.sampled_from(selected))
+    h[tid] = 1
+    return g, h, tid
+
+
+class TestAdjustHeightsAgainstPathEnumeration:
+    @given(graphs_with_height_maps())
+    def test_depends_only_on_the_zero_set(self, case):
+        g, h, selected = case
+        scheduled = {t for t in g.task_ids if h[t] == 0} | {selected}
+        before = dict(h)
+        assert adjust_heights(g, h, selected) == adjusted_heights_by_path_enumeration(g, scheduled)
+        assert h == before
 
 
 class TestReadyTasks:

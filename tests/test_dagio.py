@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import statistics
 
@@ -240,6 +241,12 @@ class TestGenerateRandomDag:
             GenSpec(n_tasks=0, width=1).validate()
         with pytest.raises(InfeasibleSpec):
             GenSpec(n_tasks=5, width=1, work_range=(0.0, 1.0)).validate()
+
+    @pytest.mark.parametrize("bad", [dict(ccr=math.nan), dict(ccr=math.inf), dict(work_range=(math.nan, 30.0)),
+                                     dict(work_range=(10.0, math.inf))])
+    def test_non_finite_field_rejected(self, bad):
+        with pytest.raises(InfeasibleSpec):
+            GenSpec(n_tasks=5, width=1, **bad).validate()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_every_output_validates(self, seed):

@@ -85,6 +85,17 @@ class TestTransferTime:
         with pytest.raises(NoLinkDefined):
             transfer_time(p, 1.0, "a", "b")
 
+    @pytest.mark.parametrize("src, dst, named", [("zz", "b", "zz"), ("a", "zz", "zz"), ("yy", "zz", "yy"),
+                                                  ("zz", "zz", "zz")])
+    def test_unknown_machine_named_src_first(self, src, dst, named):
+        with pytest.raises(UnknownMachine, match=f"^unknown machine '{named}'$"):
+            transfer_time(two_machines(), 1.0, src, dst)
+
+
+def test_machine_ids_tuple_in_declaration_order():
+    p = build_platform([Machine(m, m.upper(), 1.0) for m in ("c", "a", "b")])
+    assert p.machine_ids == ("c", "a", "b") and type(p.machine_ids) is tuple
+
 
 def test_non_positive_speed_rejected():
     with pytest.raises(NonPositiveSpeed):
