@@ -7,7 +7,6 @@ from .dag import (
     adjust_heights,
     build_graph,
     compute_heights,
-    is_ancestor,
     is_valid_order,
     ready_tasks,
 )
@@ -19,7 +18,7 @@ from .platform import LinkSpec, Machine, Platform, build_platform, execution_tim
 __all__ = [
     "TaskNode", "DataEdge", "TaskGraph",
     "build_graph", "compute_heights", "adjust_heights", "ready_tasks",
-    "is_ancestor", "is_valid_order",
+    "is_valid_order",
     "Machine", "LinkSpec", "Platform", "build_platform",
     "execution_time", "transfer_time",
     "Chromosome", "Timeline", "CommMode", "evaluate", "lower_bound",

@@ -77,15 +77,12 @@ def run_instance(n_tasks: int, n_machines: int, width: int, ccr: float, seed: in
 
 def run_grid(shapes=DEFAULT_SHAPES, n_seeds: int = DEFAULT_SEEDS, ccr: float = DEFAULT_CCR,
              mode: CommMode = CommMode.INCLUDE_TRANSFER,
-             cfg: Optional[GaConfig] = None, progress=None) -> List[BenchRow]:
+             cfg: Optional[GaConfig] = None) -> List[BenchRow]:
     """Run every (shape, seed) cell in deterministic grid order."""
     rows = []
     for n_tasks, n_machines, width in shapes:
         for seed in range(n_seeds):
-            row = run_instance(n_tasks, n_machines, width, ccr, seed, mode, cfg)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
+            rows.append(run_instance(n_tasks, n_machines, width, ccr, seed, mode, cfg))
     return rows
 
 

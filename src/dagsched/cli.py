@@ -17,7 +17,7 @@ from .dagio import (
     write_bench_csv,
     write_schedule_log,
 )
-from .errors import SchedulingError
+from .errors import InvalidValue, SchedulingError
 from .evaluator import CommMode
 from .ga import CrossoverMode, GaConfig, run
 from .minmin import min_min_schedule
@@ -43,6 +43,15 @@ def _load(parse, path: str):
         return parse(_read(path))
     except SchedulingError as e:
         raise SchedulingError(f"{path}: {e}") from None
+
+
+def _load_instance(args):
+    g = _load(parse_dag, args.dag)
+    p = _load(parse_platform, args.platform)
+    for tid in p.etc_override or ():  # build_platform cannot check these: it never sees the DAG
+        if tid not in g:
+            raise InvalidValue(f"{args.platform}: etc row names task {tid!r}, which {args.dag} does not have")
+    return g, p
 
 
 def _comm_mode(flag: str) -> CommMode:
@@ -72,8 +81,7 @@ def _ga_config(args, rng_seed: int = 0) -> GaConfig:
 
 
 def cmd_validate(args) -> int:
-    g = _load(parse_dag, args.dag)
-    p = _load(parse_platform, args.platform)
+    g, p = _load_instance(args)
     entries = ",".join(g.task(t).name for t in g.entry_tasks())
     exits = ",".join(g.task(t).name for t in g.exit_tasks())
     print(f"{len(g)} tasks, {len(p.machines)} machines, entry={entries}, exit={exits}")
@@ -90,8 +98,7 @@ def cmd_heights(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    g = _load(parse_dag, args.dag)
-    p = _load(parse_platform, args.platform)
+    g, p = _load_instance(args)
     mode = _comm_mode(args.comm)
     if args.alg == "ga":
         cfg = _ga_config(args, args.seed)
@@ -124,6 +131,8 @@ def _parse_shapes(text: str):
 def cmd_bench(args) -> int:
     shapes = _parse_shapes(args.shapes) if args.shapes else bench_mod.DEFAULT_SHAPES
     cfg = _ga_config(args)
+    if args.seeds < 1:
+        raise InvalidValue(f"--seeds must be >= 1, got {args.seeds}")
     _write(args.out, lambda sink: None)  # a bad --out fails here, before the grid runs
     rows = bench_mod.run_grid(shapes=shapes, n_seeds=args.seeds, ccr=args.ccr,
                               mode=_comm_mode(args.comm), cfg=cfg)

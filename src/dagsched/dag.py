@@ -48,17 +48,18 @@ class TaskGraph:
     """
 
     def __init__(self, tasks: Tuple[TaskNode, ...], edges: Tuple[DataEdge, ...],
+                 by_id: Dict[TaskId, TaskNode], nbytes: Dict[Tuple[TaskId, TaskId], float],
                  parents: Dict[TaskId, Tuple[TaskId, ...]],
                  children: Dict[TaskId, Tuple[TaskId, ...]],
                  topo_order: Tuple[TaskId, ...]):
         self.tasks = tasks
         self.edges = edges
+        self._by_id = by_id
+        self._bytes = nbytes
         self._parents = parents
         self._children = children
         self.topo_order = topo_order
-        self.task_ids = tuple(t.id for t in tasks)
-        self._by_id = {t.id: t for t in tasks}
-        self._bytes = {(e.src, e.dst): e.bytes for e in edges}
+        self.task_ids = tuple(by_id)
 
     def task(self, tid: TaskId) -> TaskNode:
         return self._by_id[tid]
@@ -85,23 +86,6 @@ class TaskGraph:
         return [t.id for t in self.tasks if not self._children[t.id]]
 
 
-def _find_cycle(remaining: Sequence[TaskId], parents: Dict[TaskId, Tuple[TaskId, ...]]) -> List[TaskId]:
-    # every remaining node has a remaining parent, so walking parent links
-    # must revisit a node; the revisited stretch is a cycle
-    rem = set(remaining)
-    path = [next(iter(remaining))]
-    seen = {path[0]: 0}
-    while True:
-        cur = path[-1]
-        nxt = next(p for p in parents[cur] if p in rem)
-        if nxt in seen:
-            cycle = path[seen[nxt]:]
-            cycle.reverse()  # parent links were walked backwards
-            return cycle
-        seen[nxt] = len(path)
-        path.append(nxt)
-
-
 def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGraph:
     """Validate tasks and edges and return an immutable TaskGraph.
 
@@ -110,37 +94,37 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
     """
     if not tasks:
         raise EmptyGraph("a task graph needs at least one task")
-    seen_ids = set()
+    by_id: Dict[TaskId, TaskNode] = {}
     for t in tasks:
-        if t.id in seen_ids:
+        if t.id in by_id:
             raise DuplicateTaskId(f"duplicate task id {t.id!r}")
         if not 0 <= t.work < math.inf:
             kind = "negative" if t.work < 0 else "non-finite"
             raise InvalidValue(f"task {t.id!r} has {kind} work {t.work}")
-        seen_ids.add(t.id)
+        by_id[t.id] = t
 
-    parents: Dict[TaskId, List[TaskId]] = {t.id: [] for t in tasks}
-    children: Dict[TaskId, List[TaskId]] = {t.id: [] for t in tasks}
-    seen_edges = set()
+    parents: Dict[TaskId, List[TaskId]] = {tid: [] for tid in by_id}
+    children: Dict[TaskId, List[TaskId]] = {tid: [] for tid in by_id}
+    nbytes: Dict[Tuple[TaskId, TaskId], float] = {}
     for e in edges:
         if e.src == e.dst:
             raise SelfLoop(f"self loop on task {e.src!r}")
-        if e.src not in seen_ids or e.dst not in seen_ids:
-            missing = e.src if e.src not in seen_ids else e.dst
+        if e.src not in by_id or e.dst not in by_id:
+            missing = e.src if e.src not in by_id else e.dst
             raise UnknownEdgeEndpoint(f"edge {e.src!r} -> {e.dst!r} names unknown task {missing!r}")
-        if (e.src, e.dst) in seen_edges:
+        if (e.src, e.dst) in nbytes:
             raise DuplicateEdge(f"duplicate edge {e.src!r} -> {e.dst!r}")
         if not 0 <= e.bytes < math.inf:
             kind = "negative" if e.bytes < 0 else "non-finite"
             raise InvalidValue(f"edge {e.src!r} -> {e.dst!r} has {kind} bytes {e.bytes}")
-        seen_edges.add((e.src, e.dst))
+        nbytes[(e.src, e.dst)] = e.bytes
         parents[e.dst].append(e.src)
         children[e.src].append(e.dst)
 
     # Kahn's algorithm, scanning in declaration order for determinism
-    indeg = {t.id: len(parents[t.id]) for t in tasks}
+    indeg = {tid: len(ps) for tid, ps in parents.items()}
     order: List[TaskId] = []
-    ready = [t.id for t in tasks if indeg[t.id] == 0]
+    ready = [tid for tid in by_id if indeg[tid] == 0]
     while ready:
         tid = ready.pop(0)
         order.append(tid)
@@ -148,17 +132,21 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
             indeg[c] -= 1
             if indeg[c] == 0:
                 ready.append(c)
-    if len(order) < len(tasks):
-        remaining = [t.id for t in tasks if indeg[t.id] > 0]
-        raise CycleDetected(_find_cycle(remaining, {k: tuple(v) for k, v in parents.items()}))
+    if len(order) < len(by_id):
+        # every task left over has a parent left over, so walking first such
+        # parents must revisit a task; the revisited stretch is a cycle
+        at: Dict[TaskId, int] = {}
+        tid = next(t for t in by_id if indeg[t])
+        while tid not in at:
+            at[tid] = len(at)
+            tid = next(q for q in parents[tid] if indeg[q])
+        cycle = list(at)[at[tid]:]
+        cycle.reverse()  # parent links were walked backwards
+        raise CycleDetected(cycle)
 
-    return TaskGraph(
-        tasks=tuple(tasks),
-        edges=tuple(edges),
-        parents={k: tuple(v) for k, v in parents.items()},
-        children={k: tuple(v) for k, v in children.items()},
-        topo_order=tuple(order),
-    )
+    return TaskGraph(tuple(tasks), tuple(edges), by_id, nbytes,
+                     {k: tuple(v) for k, v in parents.items()},
+                     {k: tuple(v) for k, v in children.items()}, tuple(order))
 
 
 def compute_heights(g: TaskGraph) -> HeightMap:
@@ -194,19 +182,6 @@ def adjust_heights(g: TaskGraph, h: HeightMap, selected: TaskId) -> HeightMap:
 def ready_tasks(g: TaskGraph, h: HeightMap) -> List[TaskId]:
     """Tasks whose current adjusted height is exactly 1, in declaration order."""
     return [tid for tid in g.task_ids if h[tid] == 1]
-
-
-def is_ancestor(g: TaskGraph, a: TaskId, b: TaskId) -> bool:
-    """True iff a directed path a -> ... -> b exists (false for a == b)."""
-    seen, stack = set(), list(g.children(a))
-    while stack:
-        cur = stack.pop()
-        if cur == b:
-            return True
-        if cur not in seen:
-            seen.add(cur)
-            stack.extend(g.children(cur))
-    return False
 
 
 def is_valid_order(g: TaskGraph, order: Sequence[TaskId]) -> bool:

@@ -84,10 +84,9 @@ def lower_bound(g: TaskGraph, p: Platform) -> float:
 
     Ignores communication and machine contention, so no schedule can beat it.
     """
-    best: Dict[TaskId, float] = {}
     longest: Dict[TaskId, float] = {}
     for tid in g.topo_order:
         node = g.task(tid)
-        best[tid] = min(execution_time(p, node, m) for m in p.machine_ids)
-        longest[tid] = best[tid] + max((longest[q] for q in g.parents(tid)), default=0.0)
+        best = min(execution_time(p, node, m) for m in p.machine_ids)
+        longest[tid] = best + max((longest[q] for q in g.parents(tid)), default=0.0)
     return max(longest.values())

@@ -35,7 +35,7 @@ class Platform:
     :func:`build_platform`.
     """
 
-    def __init__(self, machines: Tuple[Machine, ...],
+    def __init__(self, machines: Tuple[Machine, ...], by_id: Dict[MachineId, Machine],
                  links: Dict[Tuple[MachineId, MachineId], LinkSpec],
                  default_link: Optional[LinkSpec],
                  etc_override: Optional[Dict[TaskId, Dict[MachineId, float]]]):
@@ -43,17 +43,14 @@ class Platform:
         self.links = links
         self.default_link = default_link
         self.etc_override = etc_override
-        self.machine_ids = tuple(m.id for m in machines)
-        self._by_id = {m.id: m for m in machines}
+        self.machine_ids = tuple(by_id)
+        self._by_id = by_id
 
     def machine(self, mid: MachineId) -> Machine:
         try:
             return self._by_id[mid]
         except KeyError:
             raise UnknownMachine(f"unknown machine {mid!r}") from None
-
-    def __contains__(self, mid: MachineId) -> bool:
-        return mid in self._by_id
 
 
 def build_platform(machines: Sequence[Machine],
@@ -74,6 +71,9 @@ def build_platform(machines: Sequence[Machine],
     for ln in links:
         if ln.src not in by_id or ln.dst not in by_id:
             raise UnknownMachine(f"link {ln.src!r} -> {ln.dst!r} names an unknown machine")
+        if ln.src == ln.dst or (ln.src, ln.dst) in table:
+            kind = "self" if ln.src == ln.dst else "duplicate"
+            raise InvalidValue(f"{kind} link {ln.src!r} -> {ln.dst!r}")
         _check_link(ln)
         table[(ln.src, ln.dst)] = ln
     if default_link is not None:
@@ -91,7 +91,7 @@ def build_platform(machines: Sequence[Machine],
             for mid in by_id:
                 if mid not in row:
                     raise InvalidValue(f"etc row for task {tid!r} has no entry for machine {mid!r}")
-    return Platform(tuple(machines), table, default_link, etc)
+    return Platform(tuple(machines), by_id, table, default_link, etc)
 
 
 def _check_link(ln: LinkSpec) -> None:

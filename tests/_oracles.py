@@ -5,6 +5,8 @@ adjusted heights come from exhaustive path enumeration, reachability from
 plain DFS, swap safety from scanning the whole swap window for descendants
 and ancestors, ranked selection from weights handed to every draw, and
 optimal makespans from enumerating every valid order and machine assignment.
+`kahn_order_or_cycle` keeps an earlier form of the graph builder's ordering
+and cycle report, as the reference the builder must keep matching.
 """
 
 import itertools
@@ -64,6 +66,49 @@ def reachable_by_dfs(g, a):
 
     visit(a)
     return seen
+
+
+def kahn_order_or_cycle(tasks, edges):
+    """(topological order, None), or (None, one cycle) if the edges close one.
+
+    Kahn's loop in declaration order, first in, first out. When it leaves
+    tasks unplaced, the cycle comes from find_cycle over them.
+    """
+    parents = {t.id: [] for t in tasks}
+    children = {t.id: [] for t in tasks}
+    for e in edges:
+        parents[e.dst].append(e.src)
+        children[e.src].append(e.dst)
+    indeg = {t.id: len(parents[t.id]) for t in tasks}
+    order = []
+    ready = [t.id for t in tasks if indeg[t.id] == 0]
+    while ready:
+        tid = ready.pop(0)
+        order.append(tid)
+        for c in children[tid]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                ready.append(c)
+    if len(order) == len(tasks):
+        return order, None
+    remaining = [t.id for t in tasks if indeg[t.id] > 0]
+    return None, find_cycle(remaining, parents)
+
+
+def find_cycle(remaining, parents):
+    """Walk first remaining parents from the first remaining task until a task
+    repeats; the repeated stretch, reversed, runs along the edges."""
+    rem = set(remaining)
+    path = [remaining[0]]
+    seen = {path[0]: 0}
+    while True:
+        nxt = next(p for p in parents[path[-1]] if p in rem)
+        if nxt in seen:
+            cycle = path[seen[nxt]:]
+            cycle.reverse()
+            return cycle
+        seen[nxt] = len(path)
+        path.append(nxt)
 
 
 def swap_is_safe_by_descendants(reach, order, i, j):

@@ -158,6 +158,22 @@ class TestErrorsReported:
         self.assert_one_line_error(capsys, ["validate", ref_paths[0], str(plt)],
                                    "duplicate machine id 'm1'")
 
+    @pytest.mark.parametrize("command", ["validate", "schedule"])
+    def test_etc_row_for_a_task_the_dag_lacks(self, ref_paths, tmp_path, capsys, command):
+        etc = {f"t{i}": {"m1": 1.0} for i in range(1, 11)}
+        plt = tmp_path / "etc.json"
+        plt.write_text(json.dumps({"machines": [{"id": "m1", "speed": 1}], "etc": {**etc, "zz": {"m1": 1.0}}}))
+        self.assert_one_line_error(capsys, [command, ref_paths[0], str(plt)], "etc row names task 'zz'")
+        plt.write_text(json.dumps({"machines": [{"id": "m1", "speed": 1}], "etc": etc}))
+        assert main([command, ref_paths[0], str(plt)]) == 0
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_bench_needs_a_seed(self, tmp_path, capsys, seeds):
+        out_csv = tmp_path / "x.csv"
+        self.assert_one_line_error(capsys, ["bench", "--shapes", "10x2", "--seeds", seeds, "--out", str(out_csv)],
+                                   "--seeds must be >= 1")
+        assert not out_csv.exists()
+
     def test_population_of_one(self, ref_paths, capsys):
         self.assert_one_line_error(capsys, ["schedule", *ref_paths, "--pop", "1"], "pop_size must be >= 2")
 

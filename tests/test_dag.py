@@ -11,7 +11,6 @@ from dagsched.dag import (
     adjust_heights,
     build_graph,
     compute_heights,
-    is_ancestor,
     is_valid_order,
     ready_tasks,
 )
@@ -27,6 +26,7 @@ from dagsched.errors import (
 from _oracles import (
     adjusted_heights_by_path_enumeration,
     heights_by_path_enumeration,
+    kahn_order_or_cycle,
     random_graph,
     reachable_by_dfs,
 )
@@ -88,6 +88,40 @@ class TestBuildGraph:
     def test_non_finite_bytes(self, value):
         with pytest.raises(InvalidValue, match="bytes"):
             build_graph([TaskNode("a", "a", 1.0), TaskNode("b", "b", 1.0)], [DataEdge("a", "b", value)])
+
+
+@st.composite
+def declared_graphs(draw):
+    """Tasks and edges of a random DAG, each declared in a shuffled order,
+    plus up to two back edges, each of which closes a cycle."""
+    g = random_graph(draw(st.sampled_from(range(1, 11))), draw(st.sampled_from([0.1, 0.3, 0.6])),
+                     draw(st.integers(0, 2**32 - 1)))
+    edges = list(g.edges)
+    reach = {t: sorted(reachable_by_dfs(g, t)) for t in g.task_ids}
+    sources = [t for t in g.task_ids if reach[t]]
+    for _ in range(draw(st.sampled_from([0, 1, 2])) if sources else 0):
+        a = draw(st.sampled_from(sources))
+        b = draw(st.sampled_from(reach[a]))
+        if DataEdge(b, a, 0.0) not in edges:
+            edges.append(DataEdge(b, a, 0.0))
+    return draw(st.permutations(g.tasks)), draw(st.permutations(edges))
+
+
+class TestBuildGraphAgainstKahnReference:
+    @given(declared_graphs())
+    def test_order_or_cycle_matches_the_reference(self, case):
+        tasks, edges = case
+        order, cycle = kahn_order_or_cycle(tasks, edges)
+        if cycle is None:
+            assert build_graph(tasks, edges).topo_order == tuple(order)
+            return
+        with pytest.raises(CycleDetected) as exc:
+            build_graph(tasks, edges)
+        assert exc.value.cycle == cycle
+        # a real cycle: each task has an edge to the next, the last one back to the first
+        pairs = {(e.src, e.dst) for e in edges}
+        assert len(set(cycle)) == len(cycle)
+        assert all((a, b) in pairs for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 class TestHeights:
@@ -196,21 +230,6 @@ class TestReadyTasks:
 
     def test_all_selected(self, ref_graph):
         assert ready_tasks(ref_graph, {t: 0 for t in ref_graph.task_ids}) == []
-
-
-class TestIsAncestor:
-    def test_reference_pairs(self, ref_graph):
-        assert is_ancestor(ref_graph, "t1", "t10")
-        assert not is_ancestor(ref_graph, "t2", "t6")
-        assert not is_ancestor(ref_graph, "t5", "t5")
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_dfs(self, seed):
-        g = random_graph(n_tasks=8, edge_prob=0.35, seed=seed + 100)
-        for a in g.task_ids:
-            reach = reachable_by_dfs(g, a)
-            for b in g.task_ids:
-                assert is_ancestor(g, a, b) == (b in reach)
 
 
 class TestIsValidOrder:

@@ -92,6 +92,16 @@ class TestParsePlatform:
         p = parse_platform('{"machines": [{"id": "m", "speed": 1}]}')
         assert transfer_time(p, 100.0, "m", "m") == 0.0
 
+    @pytest.mark.parametrize("links, fragment", [
+        ([("m1", "m2", 1), ("m1", "m2", 100)], "duplicate link 'm1' -> 'm2'"),
+        ([("m1", "m1", 1)], "self link 'm1' -> 'm1'"),
+    ])
+    def test_duplicate_or_self_link(self, links, fragment):
+        doc = json.loads(TWO_MACHINE_JSON)
+        doc["links"] = [{"src": src, "dst": dst, "bandwidth": bw} for src, dst, bw in links]
+        with pytest.raises(InvalidValue, match=fragment):
+            parse_platform(json.dumps(doc))
+
     def test_round_trip(self):
         p = parse_platform(TWO_MACHINE_JSON)
         p2 = parse_platform(platform_to_json(p))

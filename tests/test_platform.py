@@ -111,6 +111,22 @@ class TestInvalidValues:
         with pytest.raises(InvalidValue, match="duplicate machine id 'a'"):
             build_platform([Machine("a", "A", 1.0), Machine("a", "A2", 2.0)])
 
+    def test_duplicate_link(self):
+        # a second a -> b would otherwise replace the first without a word
+        with pytest.raises(InvalidValue, match="duplicate link 'a' -> 'b'"):
+            build_platform([Machine("a", "A", 1.0), Machine("b", "B", 1.0)],
+                           links=[LinkSpec("a", "b", 1.0), LinkSpec("a", "b", 100.0)])
+
+    def test_self_link(self):
+        # transfer_time never reads a link within one machine
+        with pytest.raises(InvalidValue, match="self link 'a' -> 'a'"):
+            build_platform([Machine("a", "A", 1.0)], links=[LinkSpec("a", "a", 1.0)])
+
+    def test_opposite_links_are_distinct(self):
+        p = build_platform([Machine("a", "A", 1.0), Machine("b", "B", 1.0)],
+                           links=[LinkSpec("a", "b", 1.0), LinkSpec("b", "a", 100.0)])
+        assert transfer_time(p, 10.0, "a", "b") == 10.0 and transfer_time(p, 10.0, "b", "a") == 0.1
+
     def test_negative_latency(self):
         with pytest.raises(InvalidValue, match="negative latency"):
             two_machines(latency=-1.0)
