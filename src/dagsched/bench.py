@@ -64,7 +64,7 @@ def run_instance(n_tasks: int, n_machines: int, width: int, ccr: float, seed: in
         n_machines=n_machines,
         width=width,
         ccr=ccr,
-        comm_mode="include" if mode is CommMode.INCLUDE_TRANSFER else "ignore",
+        comm_mode=mode.value,
         seed=seed,
         ga_makespan=best.fitness,
         minmin_makespan=mm_timeline.makespan,

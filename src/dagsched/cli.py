@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, List, Optional, TextIO
 
@@ -22,14 +23,6 @@ from .evaluator import CommMode
 from .ga import CrossoverMode, GaConfig, run
 from .minmin import min_min_schedule
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
-    except OSError as e:
-        raise SchedulingError(f"cannot read {path}: {e}") from None
-
-
 def _write(path: str, write: Callable[[TextIO], None]) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as sink:
@@ -40,7 +33,12 @@ def _write(path: str, write: Callable[[TextIO], None]) -> None:
 
 def _load(parse, path: str):
     try:
-        return parse(_read(path))
+        with open(path, "r", encoding="utf-8") as f:
+            return parse(f.read())
+    except OSError as e:
+        raise SchedulingError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise SchedulingError(f"cannot read {path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     except SchedulingError as e:
         raise SchedulingError(f"{path}: {e}") from None
 
@@ -54,30 +52,28 @@ def _load_instance(args):
     return g, p
 
 
-def _comm_mode(flag: str) -> CommMode:
-    return CommMode.INCLUDE_TRANSFER if flag == "on" else CommMode.IGNORE_TRANSFER
+_COMM_MODES = {"on": CommMode.INCLUDE_TRANSFER, "off": CommMode.IGNORE_TRANSFER}  # --comm's values
 
 
 def _add_ga_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--pop", type=int, default=100, help="population size")
-    sp.add_argument("--iters", type=int, default=50, help="maximum iterations")
-    sp.add_argument("--stagnation", type=int, default=50,
+    sp.add_argument("--pop", type=int, default=GaConfig.pop_size, help="population size")
+    sp.add_argument("--iters", type=int, default=GaConfig.max_iters, help="maximum iterations")
+    sp.add_argument("--stagnation", type=int, default=GaConfig.stagnation_limit,
                     help="stop after this many generations without improvement")
-    sp.add_argument("--pairs", type=int, default=None, help="parent pairs per generation")
-    sp.add_argument("--mutation-rate", type=float, default=0.2)
-    sp.add_argument("--crossover", choices=[m.value for m in CrossoverMode], default="mixed")
+    sp.add_argument("--pairs", type=int, default=GaConfig.pairs_per_generation, help="parent pairs per generation")
+    sp.add_argument("--mutation-rate", type=float, default=GaConfig.mutation_rate)
+    sp.add_argument("--crossover", choices=[m.value for m in CrossoverMode], default=GaConfig.crossover_mode.value)
 
 
-def _ga_config(args, rng_seed: int = 0) -> GaConfig:
-    return GaConfig(
-        pop_size=args.pop,
-        max_iters=args.iters,
-        stagnation_limit=args.stagnation,
-        pairs_per_generation=args.pairs,
-        crossover_mode=CrossoverMode(args.crossover),
-        mutation_rate=args.mutation_rate,
-        rng_seed=rng_seed,
-    )
+def _check_makespan(makespan: float) -> None:
+    if not makespan < math.inf:  # finite input can still overflow a float sum
+        raise InvalidValue(f"the makespan overflowed to {makespan}; scale the work, bytes or speeds down")
+
+
+def _ga_config(args, rng_seed: int = GaConfig.rng_seed) -> GaConfig:
+    return GaConfig(pop_size=args.pop, max_iters=args.iters, stagnation_limit=args.stagnation,
+                    pairs_per_generation=args.pairs, crossover_mode=CrossoverMode(args.crossover),
+                    mutation_rate=args.mutation_rate, rng_seed=rng_seed)
 
 
 def cmd_validate(args) -> int:
@@ -99,7 +95,7 @@ def cmd_heights(args) -> int:
 
 def cmd_schedule(args) -> int:
     g, p = _load_instance(args)
-    mode = _comm_mode(args.comm)
+    mode = _COMM_MODES[args.comm]
     if args.alg == "ga":
         cfg = _ga_config(args, args.seed)
         chromo, timeline, stats = run(g, p, cfg, mode)
@@ -107,6 +103,7 @@ def cmd_schedule(args) -> int:
     else:
         chromo, timeline = min_min_schedule(g, p, mode)
         summary = f"makespan: {timeline.makespan:.6f}"
+    _check_makespan(timeline.makespan)
     if args.out:  # written before the summary, so a failed write prints no makespan
         _write(args.out, lambda sink: write_schedule_log(g, p, timeline, chromo, sink))
     print(summary)
@@ -116,7 +113,7 @@ def cmd_schedule(args) -> int:
 
 
 def _parse_shapes(text: str):
-    shapes = []
+    shapes = {}
     for part in text.split(","):
         try:
             n_tasks, n_machines = (int(x) for x in part.lower().split("x"))
@@ -124,18 +121,24 @@ def _parse_shapes(text: str):
             raise SchedulingError(f"bad shape {part!r}; expected TASKSxMACHINES, e.g. 10x2") from None
         if n_tasks < 1 or n_machines < 1:
             raise SchedulingError(f"bad shape {part!r}: counts must be >= 1")
-        shapes.append((n_tasks, n_machines, bench_mod.default_width(n_tasks)))
-    return shapes
+        if (n_tasks, n_machines) in shapes:
+            raise SchedulingError(f"shape {part!r} repeats {n_tasks}x{n_machines}")
+        shapes[n_tasks, n_machines] = (n_tasks, n_machines, bench_mod.default_width(n_tasks))
+    return list(shapes.values())
 
 
 def cmd_bench(args) -> int:
-    shapes = _parse_shapes(args.shapes) if args.shapes else bench_mod.DEFAULT_SHAPES
+    shapes = bench_mod.DEFAULT_SHAPES if args.shapes is None else _parse_shapes(args.shapes)
     cfg = _ga_config(args)
+    cfg.validate()
     if args.seeds < 1:
         raise InvalidValue(f"--seeds must be >= 1, got {args.seeds}")
+    for n_tasks, _, width in shapes:
+        GenSpec(n_tasks=n_tasks, width=width, ccr=args.ccr).validate()
     _write(args.out, lambda sink: None)  # a bad --out fails here, before the grid runs
     rows = bench_mod.run_grid(shapes=shapes, n_seeds=args.seeds, ccr=args.ccr,
-                              mode=_comm_mode(args.comm), cfg=cfg)
+                              mode=_COMM_MODES[args.comm], cfg=cfg)
+    _check_makespan(max(max(r.ga_makespan, r.minmin_makespan) for r in rows))
     _write(args.out, lambda sink: write_bench_csv(rows, sink))
     print(f"{len(rows)} instances -> {args.out}")
     print(f"GA <= min-min on {bench_mod.ga_win_fraction(rows):.2f} of instances")
@@ -143,7 +146,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = GenSpec(n_tasks=args.tasks, width=args.width, ccr=args.ccr,
+    width = bench_mod.default_width(args.tasks) if args.width is None else args.width
+    spec = GenSpec(n_tasks=args.tasks, width=width, ccr=args.ccr,
                    work_range=(args.work_lo, args.work_hi), seed=args.seed)
     g, layer_of = generate_random_dag(spec)
     doc = dag_to_json(g)
@@ -175,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("dag")
     sp.add_argument("platform")
     sp.add_argument("--alg", choices=["ga", "minmin"], default="ga")
-    sp.add_argument("--comm", choices=["on", "off"], default="on",
+    sp.add_argument("--comm", choices=_COMM_MODES, default="on",
                     help="include data-transfer time in start times")
     sp.add_argument("--out", default=None, help="schedule log path (default: stdout)")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sp.add_argument("--seed", type=int, default=GaConfig.rng_seed, help="RNG seed")
     _add_ga_flags(sp)
     sp.set_defaults(func=cmd_schedule)
 
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", type=int, default=bench_mod.DEFAULT_SEEDS,
                     help="seeds per shape")
     sp.add_argument("--ccr", type=float, default=bench_mod.DEFAULT_CCR)
-    sp.add_argument("--comm", choices=["on", "off"], default="on")
+    sp.add_argument("--comm", choices=_COMM_MODES, default="on")
     sp.add_argument("--out", default="bench.csv", help="output CSV path")
     _add_ga_flags(sp)
     sp.set_defaults(func=cmd_bench)
@@ -210,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen" and args.width is None:
-        args.width = bench_mod.default_width(args.tasks)
     try:
         return args.func(args)
     except SchedulingError as e:

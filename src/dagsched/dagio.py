@@ -79,6 +79,12 @@ def dag_to_json(g: TaskGraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _link(raw, what: str, ends: Dict[str, type]) -> LinkSpec:
+    _require(raw, what, {**ends, "bandwidth": _NUM}, {"latency": _NUM})
+    return LinkSpec(src=raw.get("src", "*"), dst=raw.get("dst", "*"),
+                    bandwidth=float(raw["bandwidth"]), latency=float(raw.get("latency", 0.0)))
+
+
 def parse_platform(text: str) -> Platform:
     """Parse a platform document (JSON text) into a validated Platform."""
     doc = _loads(text)
@@ -90,37 +96,14 @@ def parse_platform(text: str) -> Platform:
     for raw in doc["machines"]:
         _require(raw, "machine", {"id": str, "speed": _NUM}, {"name": str})
         machines.append(Machine(id=raw["id"], name=raw.get("name", raw["id"]), speed=float(raw["speed"])))
-    links = []
-    for raw in doc.get("links", []):
-        _require(raw, "link", {"src": str, "dst": str, "bandwidth": _NUM}, {"latency": _NUM})
-        links.append(LinkSpec(src=raw["src"], dst=raw["dst"],
-                              bandwidth=float(raw["bandwidth"]), latency=float(raw.get("latency", 0.0))))
-    default = None
-    if "default_link" in doc:
-        raw = doc["default_link"]
-        _require(raw, "default_link", {"bandwidth": _NUM}, {"latency": _NUM})
-        default = LinkSpec(src="*", dst="*", bandwidth=float(raw["bandwidth"]),
-                           latency=float(raw.get("latency", 0.0)))
+    links = [_link(raw, "link", {"src": str, "dst": str}) for raw in doc.get("links", [])]
+    default = _link(doc["default_link"], "default_link", {}) if "default_link" in doc else None
     etc = doc.get("etc")
     if etc is not None:
         for tid, row in etc.items():
             if not isinstance(row, dict) or not all(_is_number(v) for v in row.values()):
                 raise SchemaError(f"etc row for task {tid!r} must map machine ids to finite numbers")
     return build_platform(machines, links, default, etc)
-
-
-def platform_to_json(p: Platform) -> str:
-    doc: dict = {
-        "machines": [{"id": m.id, "name": m.name, "speed": m.speed} for m in p.machines],
-    }
-    if p.default_link is not None:
-        doc["default_link"] = {"bandwidth": p.default_link.bandwidth, "latency": p.default_link.latency}
-    if p.links:
-        doc["links"] = [{"src": ln.src, "dst": ln.dst, "bandwidth": ln.bandwidth, "latency": ln.latency}
-                        for ln in p.links.values()]
-    if p.etc_override is not None:
-        doc["etc"] = p.etc_override
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def write_schedule_log(g: TaskGraph, p: Platform, timeline: Timeline,
@@ -164,17 +147,20 @@ class GenSpec:
 
     def validate(self) -> None:
         lo, hi = self.work_range
-        if self.n_tasks < 1 or self.width < 1 or not 0 <= self.ccr < math.inf or not 0 < lo <= hi < math.inf:
+        # with ccr > 0, bytes reach 2 * ccr * the mean work, and that mean's float sum must not overflow
+        if (self.n_tasks < 1 or self.width < 1 or not 0 <= self.ccr < math.inf or not 0 < lo <= hi < math.inf
+                or self.ccr and not max(self.n_tasks, 2.0 * self.ccr) * hi < math.inf):
             raise InfeasibleSpec(f"invalid generator spec: {self}")
 
 
-def generate_random_dag(spec: GenSpec, ref_bandwidth: float = 1.0) -> Tuple[TaskGraph, Dict[TaskId, int]]:
+def generate_random_dag(spec: GenSpec) -> Tuple[TaskGraph, Dict[TaskId, int]]:
     """Seeded layered DAG with one entry and one exit.
 
     Middle layers have at most `width` tasks; each middle task draws 1..3
     parents from the previous layer. Edge byte volumes are scaled so the mean
-    transfer time at `ref_bandwidth` over the mean execution time is about
-    the requested communication-to-computation ratio.
+    transfer time at unit bandwidth (generate_platform's default link) over
+    the mean execution time is about the requested communication-to-computation
+    ratio.
     """
     spec.validate()
     rng = random.Random(spec.seed)
@@ -212,7 +198,7 @@ def generate_random_dag(spec: GenSpec, ref_bandwidth: float = 1.0) -> Tuple[Task
     if spec.ccr == 0 or not edge_pairs:
         volumes = [0.0] * len(edge_pairs)
     else:
-        mean_bytes = spec.ccr * statistics.fmean(works) * ref_bandwidth
+        mean_bytes = spec.ccr * statistics.fmean(works)
         volumes = [rng.uniform(0.0, 2.0 * mean_bytes) for _ in edge_pairs]
     edges = [DataEdge(src=a, dst=b, bytes=v) for (a, b), v in zip(edge_pairs, volumes)]
 
@@ -221,9 +207,9 @@ def generate_random_dag(spec: GenSpec, ref_bandwidth: float = 1.0) -> Tuple[Task
     return g, layer_of
 
 
-def generate_platform(n_machines: int, seed: int = 0, bandwidth: float = 1.0,
+def generate_platform(n_machines: int, seed: int = 0,
                       speed_range: Tuple[float, float] = (1.0, 1.0)) -> Platform:
-    """Seeded benchmark platform with a uniform default link.
+    """Seeded benchmark platform whose default link has unit bandwidth and no latency.
 
     Speeds default to 1 (the per-task execution-time table's convention);
     widen speed_range for heterogeneous-speed experiments.
@@ -233,5 +219,5 @@ def generate_platform(n_machines: int, seed: int = 0, bandwidth: float = 1.0,
     rng = random.Random(seed)
     machines = [Machine(id=f"m{i}", name=f"Machine{i}", speed=rng.uniform(*speed_range))
                 for i in range(1, n_machines + 1)]
-    default = LinkSpec(src="*", dst="*", bandwidth=bandwidth, latency=0.0)
+    default = LinkSpec(src="*", dst="*", bandwidth=1.0, latency=0.0)
     return build_platform(machines, default_link=default)

@@ -166,11 +166,13 @@ def test_criterion_8_elitism_and_seeding(grid_rows):
 
 def _write_instance(tmp_path):
     g, _ = generate_random_dag(GenSpec(n_tasks=10, width=3, ccr=0.4, seed=5))
-    from dagsched.dagio import dag_to_json, platform_to_json
+    from dagsched.dagio import dag_to_json
     dag = tmp_path / "dag.json"
     plt = tmp_path / "platform.json"
     dag.write_text(dag_to_json(g))
-    plt.write_text(platform_to_json(generate_platform(3, seed=5)))
+    # generate_platform(3, seed=5) as a document
+    plt.write_text(json.dumps({"machines": [{"id": f"m{i}", "name": f"Machine{i}", "speed": 1.0} for i in (1, 2, 3)],
+                               "default_link": {"bandwidth": 1.0, "latency": 0.0}}))
     return str(dag), str(plt)
 
 

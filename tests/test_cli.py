@@ -58,7 +58,13 @@ class TestValidate:
         write_platform(plt)
         missing = str(tmp_path / "nope.json")
         assert main(["validate", missing, str(plt)]) != 0
-        assert "nope.json" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: cannot read {missing}: No such file or directory\n"
+
+    def test_not_utf8(self, tmp_path, capsys):
+        dag = tmp_path / "latin1.json"
+        dag.write_bytes(b'{"tasks": [{"id": "\xe9", "work": 1}]}')
+        assert main(["heights", str(dag)]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {dag}: not UTF-8 text (invalid continuation byte at byte 19)\n"
 
 
 class TestHeights:
@@ -121,6 +127,14 @@ class TestSchedule:
         assert out.startswith("makespan: ") and "Simulation Time: " in out
 
 
+class TestGaFlagDefaults:
+    @pytest.mark.parametrize("argv", [["schedule", "d.json", "p.json"], ["bench"]])
+    def test_parser_defaults_are_ga_configs(self, argv):
+        args = cli_mod.build_parser().parse_args(argv)
+        rng_seed = args.seed if argv[0] == "schedule" else ga.GaConfig.rng_seed
+        assert cli_mod._ga_config(args, rng_seed) == ga.GaConfig()
+
+
 class TestBench:
     def test_single_cell(self, tmp_path, capsys):
         out_csv = tmp_path / "bench.csv"
@@ -174,6 +188,45 @@ class TestErrorsReported:
                                    "--seeds must be >= 1")
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--shapes", ""], "bad shape ''"),
+        (["--shapes", "0x2"], "bad shape '0x2': counts must be >= 1"),
+        (["--shapes", "10x2,10x2"], "shape '10x2' repeats 10x2"),
+        (["--shapes", "10x2,25x7,10X2"], "shape '10X2' repeats 10x2"),
+        (["--pop", "1"], "pop_size must be >= 2"),
+        (["--ccr", "-1"], "invalid generator spec"),
+        (["--ccr", "1e307"], "invalid generator spec"),
+    ], ids=["empty-shapes", "zero-count", "repeat", "repeat-other-case", "pop-1", "negative-ccr", "overflowing-ccr"])
+    def test_bench_flag_rejected_before_out_is_opened(self, tmp_path, capsys, monkeypatch, flags, fragment):
+        def no_grid(**kwargs):
+            raise AssertionError("the grid ran with a bad flag")
+
+        monkeypatch.setattr(bench_mod, "run_grid", no_grid)
+        out_csv = tmp_path / "x.csv"
+        out_csv.write_text("kept\n")
+        self.assert_one_line_error(capsys, ["bench", *flags, "--seeds", "1", "--out", str(out_csv)], fragment)
+        assert out_csv.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("alg", ["ga", "minmin"])
+    def test_overflowed_makespan(self, tmp_path, capsys, alg):
+        # every number is finite, but the five works of one machine sum past the float range
+        dag = tmp_path / "big.json"
+        dag.write_text(json.dumps({"tasks": [{"id": f"t{i}", "work": 1.5e308} for i in range(5)]}))
+        plt = tmp_path / "p.json"
+        write_platform(plt, n=1)
+        log = tmp_path / "x.log"
+        self.assert_one_line_error(capsys, ["schedule", str(dag), str(plt), "--alg", alg, "--pop", "4",
+                                            "--iters", "2", "--out", str(log)], "the makespan overflowed to inf")
+        assert not log.exists()
+
+    def test_bench_overflowed_makespan(self, tmp_path, capsys):
+        # byte volumes near the float maximum: a GA individual that sends two of them in sequence overflows
+        out_csv = tmp_path / "x.csv"
+        self.assert_one_line_error(capsys, ["bench", "--shapes", "10x7", "--seeds", "1", "--ccr", "2.9e306",
+                                            "--pop", "4", "--iters", "1", "--out", str(out_csv)],
+                                   "the makespan overflowed to inf")
+        assert "inf" not in out_csv.read_text()
+
     def test_population_of_one(self, ref_paths, capsys):
         self.assert_one_line_error(capsys, ["schedule", *ref_paths, "--pop", "1"], "pop_size must be >= 2")
 
@@ -214,6 +267,14 @@ class TestGen:
             out = tmp_path / name
             assert main(["gen", "--tasks", "25", "--width", "10", "--seed", "3",
                          "--out", str(out)]) == 0
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
+    def test_width_defaults_to_the_grid_shapes(self, tmp_path, capsys):
+        files = []
+        for width in ([], ["--width", str(bench_mod.default_width(25))]):
+            out = tmp_path / f"w{len(width)}.json"
+            assert main(["gen", "--tasks", "25", "--seed", "3", *width, "--out", str(out)]) == 0
             files.append(out.read_bytes())
         assert files[0] == files[1]
 

@@ -16,7 +16,9 @@ from dagsched.dag import (
 )
 from dagsched.errors import (
     CycleDetected,
+    DuplicateEdge,
     DuplicateTaskId,
+    EmptyGraph,
     InvalidValue,
     NotReady,
     SelfLoop,
@@ -58,6 +60,15 @@ class TestBuildGraph:
         with pytest.raises(CycleDetected) as exc:
             build_graph(tasks, edges)
         assert set(exc.value.cycle) == {"t1", "t2"}
+
+    def test_no_tasks(self):
+        with pytest.raises(EmptyGraph):
+            build_graph([], [])
+
+    def test_duplicate_edge(self):
+        with pytest.raises(DuplicateEdge, match="duplicate edge 'a' -> 'b'"):
+            build_graph([TaskNode("a", "a", 1.0), TaskNode("b", "b", 1.0)],
+                        [DataEdge("a", "b", 1.0), DataEdge("a", "b", 2.0)])
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateTaskId):

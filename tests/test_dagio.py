@@ -14,7 +14,6 @@ from dagsched.dagio import (
     generate_random_dag,
     parse_dag,
     parse_platform,
-    platform_to_json,
     write_bench_csv,
     write_schedule_log,
 )
@@ -102,11 +101,35 @@ class TestParsePlatform:
         with pytest.raises(InvalidValue, match=fragment):
             parse_platform(json.dumps(doc))
 
-    def test_round_trip(self):
+    def test_machines_and_default_link(self):
         p = parse_platform(TWO_MACHINE_JSON)
-        p2 = parse_platform(platform_to_json(p))
-        assert p2.machines == p.machines
-        assert p2.default_link == p.default_link
+        assert [(m.id, m.name, m.speed) for m in p.machines] == [("m1", "Machine1", 1.0), ("m2", "Machine2", 1.0)]
+        assert (p.default_link.bandwidth, p.default_link.latency) == (10.0, 0.0) and not p.links
+
+    def test_empty_machines(self):
+        with pytest.raises(SchemaError, match="platform document has an empty machines array"):
+            parse_platform('{"machines": []}')
+
+
+class TestSchema:
+    @pytest.mark.parametrize("parse, doc, fragment", [
+        (parse_dag, '[]', "DAG document must be an object, got list"),
+        (parse_dag, '{"tasks": [1]}', "task must be an object, got int"),
+        (parse_platform, '{"machines": [{"id": "m", "speed": 1}], "links": ["m"]}', "link must be an object, got str"),
+    ])
+    def test_not_an_object(self, parse, doc, fragment):
+        with pytest.raises(SchemaError, match=fragment):
+            parse(doc)
+
+    @pytest.mark.parametrize("parse, doc, fragment", [
+        (parse_dag, '{"edges": []}', "DAG document is missing field 'tasks'"),
+        (parse_dag, '{"tasks": [{"id": "a"}]}', "task is missing field 'work'"),
+        (parse_platform, '{"machines": [{"id": "m", "speed": 1}], "default_link": {}}',
+         "default_link is missing field 'bandwidth'"),
+    ])
+    def test_missing_field(self, parse, doc, fragment):
+        with pytest.raises(SchemaError, match=fragment):
+            parse(doc)
 
 
 # a bool, NaN, the infinities and an int past the float range, as json.loads reads them
@@ -241,7 +264,7 @@ class TestGenerateRandomDag:
 
     def test_ccr_calibration(self):
         spec = GenSpec(n_tasks=60, width=6, ccr=1.0, seed=3)
-        g, _ = generate_random_dag(spec, ref_bandwidth=1.0)
+        g, _ = generate_random_dag(spec)
         mean_work = statistics.fmean(t.work for t in g.tasks)
         mean_bytes = statistics.fmean(e.bytes for e in g.edges)
         assert mean_bytes / mean_work == pytest.approx(1.0, rel=0.35)
@@ -257,6 +280,18 @@ class TestGenerateRandomDag:
     def test_non_finite_field_rejected(self, bad):
         with pytest.raises(InfeasibleSpec):
             GenSpec(n_tasks=5, width=1, **bad).validate()
+
+    @pytest.mark.parametrize("bad", [dict(ccr=1e307), dict(ccr=1e-10, work_range=(1e308, 1.7e308))])
+    def test_overflowing_bytes_rejected(self, bad):
+        # the first overflows the byte volumes, the second the float sum of the work
+        with pytest.raises(InfeasibleSpec):
+            GenSpec(n_tasks=5, width=2, **bad).validate()
+
+    def test_largest_bytes_stay_finite(self):
+        g, _ = generate_random_dag(GenSpec(n_tasks=5, width=2, ccr=2e306, seed=1))
+        assert all(e.bytes < math.inf for e in g.edges)
+        g, _ = generate_random_dag(GenSpec(n_tasks=5, width=2, work_range=(1e308, 1.7e308), seed=1))
+        assert len(g) == 5
 
     @pytest.mark.parametrize("seed", range(10))
     def test_every_output_validates(self, seed):

@@ -122,6 +122,15 @@ class TestInvalidValues:
         with pytest.raises(InvalidValue, match="self link 'a' -> 'a'"):
             build_platform([Machine("a", "A", 1.0)], links=[LinkSpec("a", "a", 1.0)])
 
+    @pytest.mark.parametrize("src, dst", [("a", "zz"), ("zz", "a")])
+    def test_link_to_unknown_machine(self, src, dst):
+        with pytest.raises(UnknownMachine, match=f"link '{src}' -> '{dst}' names an unknown machine"):
+            build_platform([Machine("a", "A", 1.0)], links=[LinkSpec(src, dst, 1.0)])
+
+    def test_etc_row_names_unknown_machine(self):
+        with pytest.raises(UnknownMachine, match="etc row for task 't' names unknown machine 'zz'"):
+            build_platform([Machine("m", "M", 1.0)], etc_override={"t": {"m": 1.0, "zz": 1.0}})
+
     def test_opposite_links_are_distinct(self):
         p = build_platform([Machine("a", "A", 1.0), Machine("b", "B", 1.0)],
                            links=[LinkSpec("a", "b", 1.0), LinkSpec("b", "a", 100.0)])
