@@ -23,9 +23,9 @@ from .evaluator import CommMode
 from .ga import CrossoverMode, GaConfig, run
 from .minmin import min_min_schedule
 
-def _write(path: str, write: Callable[[TextIO], None]) -> None:
+def _write(path: str, write: Callable[[TextIO], None], mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as sink:
+        with open(path, mode, encoding="utf-8", newline="") as sink:
             write(sink)
     except OSError as e:
         raise SchedulingError(f"cannot write {path}: {e}") from None
@@ -135,7 +135,7 @@ def cmd_bench(args) -> int:
         raise InvalidValue(f"--seeds must be >= 1, got {args.seeds}")
     for n_tasks, _, width in shapes:
         GenSpec(n_tasks=n_tasks, width=width, ccr=args.ccr).validate()
-    _write(args.out, lambda sink: None)  # a bad --out fails here, before the grid runs
+    _write(args.out, lambda sink: None, "a")  # a bad --out fails here, before the grid runs; "a" keeps its rows
     rows = bench_mod.run_grid(shapes=shapes, n_seeds=args.seeds, ccr=args.ccr,
                               mode=_COMM_MODES[args.comm], cfg=cfg)
     _check_makespan(max(max(r.ga_makespan, r.minmin_makespan) for r in rows))

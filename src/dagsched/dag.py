@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import (
     CycleDetected,
@@ -48,15 +48,16 @@ class TaskGraph:
     """
 
     def __init__(self, tasks: Tuple[TaskNode, ...], edges: Tuple[DataEdge, ...],
-                 by_id: Dict[TaskId, TaskNode], nbytes: Dict[Tuple[TaskId, TaskId], float],
+                 by_id: Dict[TaskId, TaskNode],
                  parents: Dict[TaskId, Tuple[TaskId, ...]],
+                 inputs: Dict[TaskId, Tuple[Tuple[TaskId, float], ...]],
                  children: Dict[TaskId, Tuple[TaskId, ...]],
                  topo_order: Tuple[TaskId, ...]):
         self.tasks = tasks
         self.edges = edges
         self._by_id = by_id
-        self._bytes = nbytes
         self._parents = parents
+        self._inputs = inputs  # task -> ((parent, bytes), ...), in edge declaration order
         self._children = children
         self.topo_order = topo_order
         self.task_ids = tuple(by_id)
@@ -77,7 +78,10 @@ class TaskGraph:
         return self._children[tid]
 
     def edge_bytes(self, src: TaskId, dst: TaskId) -> float:
-        return self._bytes[(src, dst)]
+        for q, nbytes in self._inputs.get(dst, ()):
+            if q == src:
+                return nbytes
+        raise KeyError((src, dst))
 
     def entry_tasks(self) -> List[TaskId]:
         return [t.id for t in self.tasks if not self._parents[t.id]]
@@ -104,34 +108,34 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
         by_id[t.id] = t
 
     parents: Dict[TaskId, List[TaskId]] = {tid: [] for tid in by_id}
+    inputs: Dict[TaskId, List[Tuple[TaskId, float]]] = {tid: [] for tid in by_id}
     children: Dict[TaskId, List[TaskId]] = {tid: [] for tid in by_id}
-    nbytes: Dict[Tuple[TaskId, TaskId], float] = {}
+    seen: Set[Tuple[TaskId, TaskId]] = set()
     for e in edges:
-        if e.src == e.dst:
-            raise SelfLoop(f"self loop on task {e.src!r}")
-        if e.src not in by_id or e.dst not in by_id:
-            missing = e.src if e.src not in by_id else e.dst
-            raise UnknownEdgeEndpoint(f"edge {e.src!r} -> {e.dst!r} names unknown task {missing!r}")
-        if (e.src, e.dst) in nbytes:
-            raise DuplicateEdge(f"duplicate edge {e.src!r} -> {e.dst!r}")
-        if not 0 <= e.bytes < math.inf:
-            kind = "negative" if e.bytes < 0 else "non-finite"
-            raise InvalidValue(f"edge {e.src!r} -> {e.dst!r} has {kind} bytes {e.bytes}")
-        nbytes[(e.src, e.dst)] = e.bytes
-        parents[e.dst].append(e.src)
-        children[e.src].append(e.dst)
+        src, dst, nb = e.src, e.dst, e.bytes
+        if src == dst:
+            raise SelfLoop(f"self loop on task {src!r}")
+        if src not in by_id or dst not in by_id:
+            missing = src if src not in by_id else dst
+            raise UnknownEdgeEndpoint(f"edge {src!r} -> {dst!r} names unknown task {missing!r}")
+        if (src, dst) in seen:
+            raise DuplicateEdge(f"duplicate edge {src!r} -> {dst!r}")
+        if not 0 <= nb < math.inf:
+            kind = "negative" if nb < 0 else "non-finite"
+            raise InvalidValue(f"edge {src!r} -> {dst!r} has {kind} bytes {nb}")
+        seen.add((src, dst))
+        parents[dst].append(src)
+        inputs[dst].append((src, nb))
+        children[src].append(dst)
 
     # Kahn's algorithm, scanning in declaration order for determinism
     indeg = {tid: len(ps) for tid, ps in parents.items()}
-    order: List[TaskId] = []
-    ready = [tid for tid in by_id if indeg[tid] == 0]
-    while ready:
-        tid = ready.pop(0)
-        order.append(tid)
+    order = [tid for tid in by_id if indeg[tid] == 0]
+    for tid in order:  # first in, first out: the loop reaches each task it appends
         for c in children[tid]:
             indeg[c] -= 1
             if indeg[c] == 0:
-                ready.append(c)
+                order.append(c)
     if len(order) < len(by_id):
         # every task left over has a parent left over, so walking first such
         # parents must revisit a task; the revisited stretch is a cycle
@@ -144,9 +148,10 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
         cycle.reverse()  # parent links were walked backwards
         raise CycleDetected(cycle)
 
-    return TaskGraph(tuple(tasks), tuple(edges), by_id, nbytes,
-                     {k: tuple(v) for k, v in parents.items()},
-                     {k: tuple(v) for k, v in children.items()}, tuple(order))
+    for links in (parents, inputs, children):  # to tuples in place, each list freed as it goes
+        for tid, ls in links.items():
+            links[tid] = tuple(ls)
+    return TaskGraph(tuple(tasks), tuple(edges), by_id, parents, inputs, children, tuple(order))
 
 
 def compute_heights(g: TaskGraph) -> HeightMap:
@@ -186,7 +191,12 @@ def ready_tasks(g: TaskGraph, h: HeightMap) -> List[TaskId]:
 
 def is_valid_order(g: TaskGraph, order: Sequence[TaskId]) -> bool:
     """True iff `order` is a permutation of all tasks with parents first."""
-    if len(order) != len(g) or set(order) != set(g.task_ids):
+    if len(order) != len(g):
         return False
-    pos = {tid: i for i, tid in enumerate(order)}
-    return all(pos[e.src] < pos[e.dst] for e in g.edges)
+    parents, seen = g._parents, set()
+    for tid in order:  # of the right length, an order of known, unrepeated tasks holds every task
+        ps = parents.get(tid)
+        if ps is None or tid in seen or not seen.issuperset(ps):
+            return False
+        seen.add(tid)
+    return True

@@ -44,16 +44,22 @@ def place(g: TaskGraph, p: Platform, tl: Timeline, tid: TaskId, mid: MachineId,
     machine mid becomes available. Data from a parent on mid itself is ready
     when that parent finishes.
     """
-    start = free_at
-    for q in g.parents(tid):
-        t = tl.finish[q]
-        if include:
-            src = tl.machine[q]
+    start, finish = free_at, tl.finish
+    if include:
+        host = tl.machine
+        for q, nbytes in g._inputs[tid]:
+            t = finish[q]
+            src = host[q]
             if src != mid:
-                t += transfer_time(p, g.edge_bytes(q, tid), src, mid)
-        if t > start:
-            start = t
-    return start, start + execution_time(p, g.task(tid), mid)
+                t += transfer_time(p, nbytes, src, mid)
+            if t > start:
+                start = t
+    else:
+        for q in g._parents[tid]:
+            t = finish[q]
+            if t > start:
+                start = t
+    return start, start + execution_time(p, g._by_id[tid], mid)
 
 
 def evaluate(g: TaskGraph, p: Platform, c: Chromosome,

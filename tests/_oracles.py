@@ -4,9 +4,11 @@ Nothing here shares code with the library's scheduling path: heights and
 adjusted heights come from exhaustive path enumeration, reachability from
 plain DFS, swap safety from scanning the whole swap window for descendants
 and ancestors, ranked selection from weights handed to every draw, and
-optimal makespans from enumerating every valid order and machine assignment.
-`kahn_order_or_cycle` keeps an earlier form of the graph builder's ordering
-and cycle report, as the reference the builder must keep matching.
+optimal makespans from enumerating every valid order and machine assignment,
+each simulated by `timeline_from_scratch` from the edge list and the
+platform's tables alone. `kahn_order_or_cycle` and `valid_order_by_positions`
+keep earlier forms of the graph builder's ordering and cycle report and of the
+order check, as the references the library must keep matching.
 """
 
 import itertools
@@ -14,7 +16,6 @@ import random
 
 from dagsched.dag import DataEdge, TaskNode, build_graph
 from dagsched.evaluator import CommMode
-from dagsched.platform import execution_time, transfer_time
 
 
 def all_paths_from_entries(g):
@@ -143,23 +144,44 @@ def tie_averaged_rank_pairs(members, n_pairs, rng):
     return pairs
 
 
-def brute_force_evaluate(g, p, order, machines, include_transfer=True):
-    """Makespan of one chromosome, recomputed from scratch each call."""
-    finish = {}
-    host = {}
-    avail = {}
+def timeline_from_scratch(g, p, order, machines, include_transfer=True):
+    """(start, finish, machine, makespan) of one chromosome, from g.edges and
+    the platform's link table, machines and ETC rows alone.
+
+    A task starts at the latest of its machine's free time and, per parent,
+    that parent's finish plus (latency + bytes / bandwidth) when the parent ran
+    on another machine; it then runs for its ETC entry or work / speed. These
+    are the float operations the schedule model defines, in that grouping, so
+    a simulator that keeps them agrees to the last bit.
+    """
+    inputs = {}
+    for e in g.edges:
+        inputs.setdefault(e.dst, []).append((e.src, e.bytes))
+    speed = {m.id: m.speed for m in p.machines}
+    start, finish, host, free = {}, {}, {}, {}
     for tid, mid in zip(order, machines):
-        ready = 0.0
-        for q in g.parents(tid):
-            t = finish[q]
-            if include_transfer:
-                t += transfer_time(p, g.edge_bytes(q, tid), host[q], mid)
-            ready = max(ready, t)
-        start = max(ready, avail.get(mid, 0.0))
-        finish[tid] = start + execution_time(p, g.task(tid), mid)
+        ready = [free.get(mid, 0.0)]
+        for q, nbytes in inputs.get(tid, ()):
+            if include_transfer and host[q] != mid:
+                link = p.links.get((host[q], mid), p.default_link)
+                ready.append(finish[q] + (link.latency + nbytes / link.bandwidth))
+            else:
+                ready.append(finish[q])
+        start[tid] = max(ready)
+        etc = (p.etc_override or {}).get(tid)
+        finish[tid] = start[tid] + (etc[mid] if etc is not None else g.task(tid).work / speed[mid])
         host[tid] = mid
-        avail[mid] = finish[tid]
-    return max(finish.values())
+        free[mid] = finish[tid]
+    return start, finish, host, max(finish.values())
+
+
+def valid_order_by_positions(g, order):
+    """The order check as it was first written: the same set of tasks at the
+    same length, and every edge's source placed before its destination."""
+    if len(order) != len(g) or set(order) != set(g.task_ids):
+        return False
+    pos = {tid: i for i, tid in enumerate(order)}
+    return all(pos[e.src] < pos[e.dst] for e in g.edges)
 
 
 def all_valid_orders(g):
@@ -192,7 +214,7 @@ def brute_force_optimum(g, p, mode=CommMode.INCLUDE_TRANSFER):
     best = None
     for order in all_valid_orders(g):
         for assignment in itertools.product(mids, repeat=len(order)):
-            ms = brute_force_evaluate(g, p, order, assignment, include)
+            ms = timeline_from_scratch(g, p, order, assignment, include)[3]
             if best is None or ms < best:
                 best = ms
     return best

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -12,6 +13,8 @@ settings.load_profile("pinned")
 
 from dagsched.dag import DataEdge, TaskNode, build_graph
 from dagsched.platform import LinkSpec, Machine, build_platform
+
+from _oracles import random_graph
 
 # reference DAG: 10 tasks, edges chosen so the height table and task5's
 # parents (task2, task6) come out right
@@ -40,3 +43,20 @@ def seven_machines():
     machines = [Machine(f"M{i}", f"Machine{i}", 1.0) for i in range(1, 8)]
     default = LinkSpec("*", "*", bandwidth=10.0, latency=0.0)
     return build_platform(machines, default_link=default)
+
+
+@st.composite
+def dags_with_valid_orders(draw):
+    """A random DAG of 2-30 tasks and one of its dependency-valid orders."""
+    n = draw(st.integers(2, 30))
+    g = random_graph(n, draw(st.floats(0.0, 0.6)), draw(st.integers(0, 2**32 - 1)))
+    waiting = {t: len(g.parents(t)) for t in g.task_ids}
+    ready = [t for t in g.task_ids if waiting[t] == 0]
+    order = []
+    while ready:
+        order.append(ready.pop(draw(st.integers(0, len(ready) - 1))))
+        for c in g.children(order[-1]):
+            waiting[c] -= 1
+            if waiting[c] == 0:
+                ready.append(c)
+    return g, order

@@ -222,10 +222,11 @@ class TestErrorsReported:
     def test_bench_overflowed_makespan(self, tmp_path, capsys):
         # byte volumes near the float maximum: a GA individual that sends two of them in sequence overflows
         out_csv = tmp_path / "x.csv"
+        out_csv.write_bytes(b"an earlier run's rows\r\n")
         self.assert_one_line_error(capsys, ["bench", "--shapes", "10x7", "--seeds", "1", "--ccr", "2.9e306",
                                             "--pop", "4", "--iters", "1", "--out", str(out_csv)],
                                    "the makespan overflowed to inf")
-        assert "inf" not in out_csv.read_text()
+        assert out_csv.read_bytes() == b"an earlier run's rows\r\n"  # neither emptied nor written
 
     def test_population_of_one(self, ref_paths, capsys):
         self.assert_one_line_error(capsys, ["schedule", *ref_paths, "--pop", "1"], "pop_size must be >= 2")

@@ -31,7 +31,9 @@ from _oracles import (
     kahn_order_or_cycle,
     random_graph,
     reachable_by_dfs,
+    valid_order_by_positions,
 )
+from conftest import dags_with_valid_orders
 
 
 def chain(n):
@@ -254,6 +256,50 @@ class TestIsValidOrder:
 
     def test_missing_task(self, ref_graph):
         assert not is_valid_order(ref_graph, [f"t{i}" for i in range(1, 10)])
+
+
+@st.composite
+def orders_to_check(draw):
+    """A DAG and a sequence to check: a valid order as drawn, or one spoiled
+    by one edit. Returns (graph, sequence, whether it is still valid)."""
+    g, order = draw(dags_with_valid_orders())
+    kind = draw(st.sampled_from(["valid", "edge swap", "any swap", "duplicate", "extra copy",
+                                 "missing", "foreign", "extra foreign", "empty"]))
+    # half the time the edit hits the last position, whose task no later task
+    # needs: there only the duplicate or unknown-id test itself can tell
+    i = len(order) - 1 if draw(st.booleans()) else draw(st.integers(0, len(order) - 1))
+    j = draw(st.integers(0, len(order) - 1).filter(lambda j: j != i))
+    out = list(order)
+    if kind == "edge swap" and g.edges:  # a parent and its child trade places
+        e = draw(st.sampled_from(g.edges))
+        a, b = out.index(e.src), out.index(e.dst)
+        out[a], out[b] = out[b], out[a]
+    elif kind == "any swap":
+        out[i], out[j] = out[j], out[i]
+    elif kind == "duplicate":  # same length: one task twice, another not at all
+        out[i] = out[j]
+    elif kind == "extra copy":
+        out.insert(i, out[j])
+    elif kind == "missing":
+        del out[i]
+    elif kind == "foreign":
+        out[i] = "zz"
+    elif kind == "extra foreign":
+        out.insert(i, "zz")
+    elif kind == "empty":
+        out = []
+    expected = {"valid": True, "any swap": None, "edge swap": None if not g.edges else False}.get(kind, False)
+    return g, draw(st.sampled_from([out, tuple(out)])), expected
+
+
+class TestIsValidOrderAgainstPositions:
+    @given(orders_to_check())
+    def test_same_answer_as_the_position_check(self, case):
+        g, order, expected = case
+        got = is_valid_order(g, order)
+        assert got == valid_order_by_positions(g, order)
+        if expected is not None:
+            assert got is expected
 
 
 @pytest.mark.parametrize("seed", range(15))

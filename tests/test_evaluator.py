@@ -2,19 +2,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dagsched.dag import DataEdge, TaskNode, build_graph, compute_heights
 from dagsched.errors import InvalidOrder
-from dagsched.evaluator import Chromosome, CommMode, evaluate, lower_bound
+from dagsched.evaluator import Chromosome, CommMode, Timeline, evaluate, lower_bound
 from dagsched.ga import generate_individual
+from dagsched.minmin import min_min_schedule
 from dagsched.platform import LinkSpec, Machine, build_platform
 
 from _oracles import (
     all_paths_from_entries,
     all_valid_orders,
-    brute_force_evaluate,
     random_graph,
+    timeline_from_scratch,
 )
+from conftest import dags_with_valid_orders
 
 
 def platform_of(n, speed=1.0, bandwidth=10.0):
@@ -111,8 +115,7 @@ class TestEvaluate:
         for order in all_valid_orders(g):
             for assignment in itertools.product(p.machine_ids, repeat=len(order)):
                 got = evaluate(g, p, Chromosome(list(order), list(assignment))).makespan
-                want = brute_force_evaluate(g, p, order, assignment, include_transfer=True)
-                assert got == pytest.approx(want, abs=1e-9)
+                assert got == timeline_from_scratch(g, p, order, assignment, include_transfer=True)[3]
 
     def test_deterministic(self, ref_graph, seven_machines):
         c = generate_individual(ref_graph, seven_machines,
@@ -120,6 +123,52 @@ class TestEvaluate:
         t1 = evaluate(ref_graph, seven_machines, c)
         t2 = evaluate(ref_graph, seven_machines, c)
         assert t1 == t2
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def instances(draw):
+    """A DAG, a platform of 1-4 machines and a chromosome over both.
+
+    Execution times come from work / speed or from ETC rows for some or all
+    tasks; links are one default link, a link for every ordered pair, or some
+    explicit links over a default one.
+    """
+    g, order = draw(dags_with_valid_orders())
+    mids = [f"M{k}" for k in range(draw(st.integers(1, 4)))]
+    machines = [Machine(m, m, draw(_finite(0.1, 10.0))) for m in mids]
+    pairs = [(a, b) for a in mids for b in mids if a != b]
+    links = draw(st.sampled_from(["default", "explicit", "mixed"]))
+    if links == "mixed" and pairs:
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    else:
+        chosen = pairs if links == "explicit" else []
+    link_specs = [LinkSpec(a, b, draw(_finite(0.1, 50.0)), draw(_finite(0.0, 3.0))) for a, b in chosen]
+    default = None if links == "explicit" else LinkSpec("*", "*", draw(_finite(0.1, 50.0)), draw(_finite(0.0, 3.0)))
+    etc = None
+    if draw(st.booleans()):
+        etc = {t: {m: draw(_finite(0.0, 40.0)) for m in mids} for t in g.task_ids if draw(st.booleans())}
+    assignment = draw(st.lists(st.sampled_from(mids), min_size=len(order), max_size=len(order)))
+    return g, build_platform(machines, link_specs, default, etc), order, assignment
+
+
+class TestKernelBitExact:
+    """Whole timelines compared with ==: a reordered float operation shows."""
+
+    @given(instances(), st.sampled_from(CommMode))
+    def test_evaluate_equals_the_from_scratch_timeline(self, case, mode):
+        g, p, order, machines = case
+        got = evaluate(g, p, Chromosome(order, machines), mode)
+        assert got == Timeline(*timeline_from_scratch(g, p, order, machines, mode is CommMode.INCLUDE_TRANSFER))
+
+    @given(instances(), st.sampled_from(CommMode))
+    def test_min_min_timeline_equals_evaluate_of_its_chromosome(self, case, mode):
+        g, p, _, _ = case
+        c, tl = min_min_schedule(g, p, mode)
+        assert tl == evaluate(g, p, c.copy(), mode)
 
 
 class TestLowerBound:

@@ -35,7 +35,7 @@ from _oracles import (
     swap_is_safe_by_descendants,
     tie_averaged_rank_pairs,
 )
-from conftest import make_ref_graph
+from conftest import dags_with_valid_orders, make_ref_graph
 
 # reproduction example: the published pair of parent solutions
 P1_ORDER = [f"t{i}" for i in [1, 3, 6, 2, 5, 4, 8, 7, 9, 10]]
@@ -243,22 +243,6 @@ class OneDraw:
         if not self.draws:
             raise Redraw
         return self.draws.pop()
-
-
-@st.composite
-def dags_with_valid_orders(draw):
-    n = draw(st.integers(2, 30))
-    g = random_graph(n, draw(st.floats(0.0, 0.6)), draw(st.integers(0, 2**32 - 1)))
-    waiting = {t: len(g.parents(t)) for t in g.task_ids}
-    ready = [t for t in g.task_ids if waiting[t] == 0]
-    order = []
-    while ready:
-        order.append(ready.pop(draw(st.integers(0, len(ready) - 1))))
-        for c in g.children(order[-1]):
-            waiting[c] -= 1
-            if waiting[c] == 0:
-                ready.append(c)
-    return g, order
 
 
 class TestMutateAgainstDescendantScan:
