@@ -45,11 +45,17 @@ class GaConfig:
         return max(1, self.pop_size // 4)
 
     def validate(self) -> None:
+        for name in ("pop_size", "max_iters", "stagnation_limit", "pairs_per_generation", "rng_seed"):
+            value = getattr(self, name)
+            if type(value) is not int and (name, value) != ("pairs_per_generation", None):
+                raise InvalidValue(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.crossover_mode, CrossoverMode):
+            raise InvalidValue(f"crossover_mode must be a CrossoverMode, got {self.crossover_mode!r}")
         if self.pop_size < 2:
             raise InvalidValue("pop_size must be >= 2")
         if self.pairs() < 1:
             raise InvalidValue("pairs_per_generation must be >= 1")
-        if not 0.0 <= self.mutation_rate <= 1.0:
+        if type(self.mutation_rate) not in (int, float) or not 0.0 <= self.mutation_rate <= 1.0:
             raise InvalidValue("mutation_rate must be in [0, 1]")
         if self.max_iters < 0 or self.stagnation_limit < 1:
             raise InvalidValue("max_iters must be >= 0 and stagnation_limit >= 1")

@@ -6,16 +6,19 @@ plain DFS, swap safety from scanning the whole swap window for descendants
 and ancestors, ranked selection from weights handed to every draw, and
 optimal makespans from enumerating every valid order and machine assignment,
 each simulated by `timeline_from_scratch` from the edge list and the
-platform's tables alone. `kahn_order_or_cycle` and `valid_order_by_positions`
-keep earlier forms of the graph builder's ordering and cycle report and of the
-order check, as the references the library must keep matching.
+platform's tables alone. `kahn_order_or_cycle`, `valid_order_by_positions`
+and `min_min_from_scratch` keep earlier forms of the graph builder's ordering
+and cycle report, of the order check and of min-min, as the references the
+library must keep matching. `min_min_from_scratch` times its pairs with the
+library's placement kernel, which `timeline_from_scratch` checks on its own:
+what it pins is min-min's choice of pairs, not the kernel.
 """
 
 import itertools
 import random
 
 from dagsched.dag import DataEdge, TaskNode, build_graph
-from dagsched.evaluator import CommMode
+from dagsched.evaluator import Chromosome, CommMode, Timeline, place
 
 
 def all_paths_from_entries(g):
@@ -182,6 +185,38 @@ def valid_order_by_positions(g, order):
         return False
     pos = {tid: i for i, tid in enumerate(order)}
     return all(pos[e.src] < pos[e.dst] for e in g.edges)
+
+
+def min_min_from_scratch(g, p, mode=CommMode.INCLUDE_TRANSFER):
+    """min-min as it was first written: every step re-places every ready
+    (task, machine) pair and commits the first one, in task-then-machine
+    declaration order, that finishes earliest."""
+    include = mode is CommMode.INCLUDE_TRANSFER
+    tl = Timeline()
+    available = {m: 0.0 for m in p.machine_ids}
+    unscheduled_parents = {tid: len(g.parents(tid)) for tid in g.task_ids}
+    order = []
+    machines = []
+    while len(order) < len(g):
+        best = None  # (finish, task, machine, start)
+        for tid in g.task_ids:
+            if tid in tl.machine or unscheduled_parents[tid] > 0:
+                continue
+            for mid in p.machine_ids:
+                start, end = place(g, p, tl, tid, mid, available[mid], include)
+                if best is None or end < best[0]:
+                    best = (end, tid, mid, start)
+        end, tid, mid, start = best
+        tl.start[tid] = start
+        tl.finish[tid] = end
+        tl.machine[tid] = mid
+        available[mid] = end
+        for c in g.children(tid):
+            unscheduled_parents[c] -= 1
+        order.append(tid)
+        machines.append(mid)
+    tl.makespan = max(tl.finish.values())
+    return Chromosome(order, machines, tl.makespan), tl
 
 
 def all_valid_orders(g):

@@ -296,10 +296,21 @@ class TestUpdatePopulation:
 class TestGaConfig:
     @pytest.mark.parametrize("bad", [dict(pop_size=1), dict(pairs_per_generation=0),
                                      dict(mutation_rate=1.5), dict(max_iters=-1),
-                                     dict(stagnation_limit=0)])
+                                     dict(stagnation_limit=0),
+                                     # wrong types: a bool is no count, and a mode is an enum member
+                                     dict(pop_size=2.5), dict(pop_size=True), dict(max_iters=3.0),
+                                     dict(stagnation_limit=None), dict(pairs_per_generation=1.5),
+                                     dict(pairs_per_generation=False), dict(crossover_mode="order"),
+                                     dict(mutation_rate="0.5"), dict(mutation_rate=None),
+                                     dict(rng_seed=None), dict(rng_seed=1.5)])
     def test_invalid_values(self, bad):
         with pytest.raises(InvalidValue):
             GaConfig(**bad).validate()
+
+    def test_run_rejects_a_mode_given_by_its_value(self):
+        g = build_graph([TaskNode("a", "a", 1.0), TaskNode("b", "b", 1.0)], [])
+        with pytest.raises(InvalidValue, match="crossover_mode"):
+            run(g, homogeneous(2), GaConfig(pop_size=4, max_iters=1, crossover_mode="order"))
 
 
 class TestRun:

@@ -1,11 +1,15 @@
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dagsched.dag import DataEdge, TaskNode, build_graph, is_valid_order
 from dagsched.evaluator import CommMode, evaluate, lower_bound
 from dagsched.minmin import min_min_schedule
 from dagsched.platform import LinkSpec, Machine, build_platform
 
-from _oracles import random_graph
+from _oracles import min_min_from_scratch, random_graph
 
 
 def platform(speeds, bandwidth=10.0):
@@ -66,7 +70,7 @@ class TestMinMin:
             c, tl = min_min_schedule(g, p, mode)
             committed, makespan = oracle_min_min(g, p, mode)
             assert list(zip(c.order, c.machines)) == committed
-            assert tl.makespan == pytest.approx(makespan, abs=1e-9)
+            assert tl.makespan == makespan
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_instances_match_oracle(self, seed):
@@ -76,7 +80,7 @@ class TestMinMin:
             c, tl = min_min_schedule(g, p, mode)
             committed, makespan = oracle_min_min(g, p, mode)
             assert list(zip(c.order, c.machines)) == committed
-            assert tl.makespan == pytest.approx(makespan, abs=1e-9)
+            assert tl.makespan == makespan
 
     @pytest.mark.parametrize("seed", range(10))
     def test_invariants(self, seed):
@@ -100,3 +104,47 @@ class TestMinMin:
         c2, t2 = min_min_schedule(ref_graph, p)
         assert c1.order == c2.order and c1.machines == c2.machines
         assert t1 == t2
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """A DAG and a platform on which many pairs finish at the same time.
+
+    Work, bytes, ETC entries, bandwidths and latencies are small integers,
+    many bytes are 0, and speeds are equal or drawn from three values. Tasks
+    are declared in a shuffled order, so the declaration order differs from
+    the order in which tasks become ready. Execution times come from work /
+    speed or from ETC rows for some or all tasks; links are one default
+    link, a link for every ordered pair, or some explicit links over a
+    default one.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 25))
+    edge_prob = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+    tasks = [TaskNode(f"t{i}", f"job{i}", float(rng.randint(0, 4))) for i in range(n)]
+    edges = [DataEdge(f"t{i}", f"t{j}", float(rng.choice([0, 0, 1, 2])))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob]
+    rng.shuffle(tasks)
+    mids = [f"M{k}" for k in range(draw(st.integers(1, 6)))]
+    equal = draw(st.booleans())
+    machines = [Machine(m, m, 1.0 if equal else rng.choice([0.5, 1.0, 2.0])) for m in mids]
+    pairs = [(a, b) for a in mids for b in mids if a != b]
+    links = draw(st.sampled_from(["default", "explicit", "mixed"]))
+    chosen = pairs if links == "explicit" else [ab for ab in pairs if links == "mixed" and rng.random() < 0.5]
+    link_specs = [LinkSpec(a, b, rng.choice([1.0, 2.0]), rng.choice([0.0, 1.0])) for a, b in chosen]
+    default = None if links == "explicit" else LinkSpec("*", "*", rng.choice([1.0, 2.0]), rng.choice([0.0, 1.0]))
+    etc = draw(st.sampled_from([None, "some", "all"]))
+    if etc is not None:
+        etc = {t.id: {m: float(rng.randint(0, 4)) for m in mids}
+               for t in tasks if etc == "all" or rng.random() < 0.5}
+    return build_graph(tasks, edges), build_platform(machines, link_specs, default, etc)
+
+
+class TestIncrementalMatchesFromScratch:
+    @given(tie_heavy_instances(), st.sampled_from(CommMode))
+    def test_same_pairs_and_timeline(self, case, mode):
+        g, p = case
+        c, tl = min_min_schedule(g, p, mode)
+        ref_c, ref_tl = min_min_from_scratch(g, p, mode)
+        assert (c.order, c.machines, c.fitness) == (ref_c.order, ref_c.machines, ref_c.fitness)
+        assert tl == ref_tl
