@@ -77,12 +77,6 @@ class TaskGraph:
     def children(self, tid: TaskId) -> Tuple[TaskId, ...]:
         return self._children[tid]
 
-    def edge_bytes(self, src: TaskId, dst: TaskId) -> float:
-        for q, nbytes in self._inputs.get(dst, ()):
-            if q == src:
-                return nbytes
-        raise KeyError((src, dst))
-
     def entry_tasks(self) -> List[TaskId]:
         return [t.id for t in self.tasks if not self._parents[t.id]]
 

@@ -28,6 +28,10 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise DocumentSyntaxError("arrays or objects nested too deeply") from None
+    except ValueError:  # CPython's limit on the digits of an int
+        raise DocumentSyntaxError("an integer has too many digits") from None
 
 
 _NUM = (int, float)

@@ -34,7 +34,7 @@ class UnknownEdgeEndpoint(SchedulingError):
 class CycleDetected(SchedulingError):
     def __init__(self, cycle):
         self.cycle = list(cycle)
-        super().__init__("cycle detected: " + " -> ".join(str(t) for t in self.cycle))
+        super().__init__("cycle detected: " + " -> ".join(map(repr, self.cycle)))  # repr: one line, whatever the ids
 
 
 class NotReady(SchedulingError):

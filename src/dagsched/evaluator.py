@@ -41,24 +41,16 @@ def place(g: TaskGraph, p: Platform, tl: Timeline, tid: TaskId, mid: MachineId,
     """(start, finish) of task tid on machine mid, whose parents are in tl.
 
     The task starts at the later of its data-ready time and free_at, the time
-    machine mid becomes available. Data from a parent on mid itself is ready
-    when that parent finishes.
+    machine mid becomes available. Data from a parent on mid itself, or from
+    any parent when include is false, is ready when that parent finishes.
     """
-    start, finish = free_at, tl.finish
-    if include:
-        host = tl.machine
-        for q, nbytes in g._inputs[tid]:
-            t = finish[q]
-            src = host[q]
-            if src != mid:
-                t += transfer_time(p, nbytes, src, mid)
-            if t > start:
-                start = t
-    else:
-        for q in g._parents[tid]:
-            t = finish[q]
-            if t > start:
-                start = t
+    start, finish, host = free_at, tl.finish, tl.machine
+    for q, nbytes in g._inputs[tid]:
+        t = finish[q]
+        if include and (src := host[q]) != mid:
+            t += transfer_time(p, nbytes, src, mid)
+        if t > start:
+            start = t
     return start, start + execution_time(p, g._by_id[tid], mid)
 
 

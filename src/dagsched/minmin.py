@@ -45,14 +45,13 @@ def min_min_schedule(g: TaskGraph, p: Platform,
         tl.machine[tid] = mid
         available[k] = end = tl.finish[tid]
         for t, row in rows.items():
-            row[k] = pair = place(g, p, tl, t, mid, end, include)
+            row[k] = place(g, p, tl, t, mid, end, include)
             if best[t][2] == k:  # the row's minimum moved: scan the row again
                 for j, (_, f) in enumerate(row):
                     if not j or f < b[0]:  # as when the row was placed
                         b = f, rank[t], j
                 best[t] = b
-            elif (pair[1], rank[t], k) < best[t]:
-                best[t] = pair[1], rank[t], k
+            # a minimum elsewhere stands: available[k] only grows, so column k only grows
         fresh = []
         for c in g.children(tid):
             waiting[c] -= 1

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
 
 from dagsched import bench as bench_mod
 from dagsched import cli as cli_mod
 from dagsched import ga
 from dagsched.cli import main
 
-from conftest import REF_EDGES, REF_WORKS
+from conftest import REF_EDGES, REF_WORKS, documents
 
 
 def write_ref_dag(path):
@@ -181,6 +184,17 @@ class TestErrorsReported:
         plt.write_text(json.dumps({"machines": [{"id": "m1", "speed": 1}], "etc": etc}))
         assert main([command, ref_paths[0], str(plt)]) == 0
 
+    @pytest.mark.parametrize("which, text", [
+        ("dag", "[" * 200_000),
+        ("platform", "[" * 200_000),
+        ("dag", '{"tasks": [{"id": "a", "work": %s}]}' % ("9" * 5000)),
+    ], ids=["deep-dag", "deep-platform", "huge-int"])
+    def test_document_past_the_parser_limits(self, ref_paths, tmp_path, capsys, which, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        paths = [str(bad), ref_paths[1]] if which == "dag" else [ref_paths[0], str(bad)]
+        self.assert_one_line_error(capsys, ["validate", *paths], f"{bad}: ")
+
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_bench_needs_a_seed(self, tmp_path, capsys, seeds):
         out_csv = tmp_path / "x.csv"
@@ -252,6 +266,24 @@ class TestErrorsReported:
         self.assert_one_line_error(capsys, ["gen", "--tasks", "5", flag, value, "--out", str(out)],
                                    "invalid generator spec")
         assert not out.exists()
+
+
+class TestValidateProperty:
+    @given(docs=documents())
+    def test_exit_0_or_1_with_one_error_line(self, tmp_path_factory, docs):
+        tmp = tmp_path_factory.mktemp("docs", numbered=True)
+        paths = [str(tmp / "dag.json"), str(tmp / "platform.json")]
+        for path, text in zip(paths, docs):
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", *paths])
+        if code == 0:
+            assert err.getvalue() == "" and out.getvalue().endswith("cycle check: ok\n")
+        else:
+            assert code == 1 and out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 class TestGen:

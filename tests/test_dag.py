@@ -63,6 +63,13 @@ class TestBuildGraph:
             build_graph(tasks, edges)
         assert set(exc.value.cycle) == {"t1", "t2"}
 
+    def test_cycle_message_is_one_line(self):
+        tasks = [TaskNode("a", "a", 1.0), TaskNode("b\nc", "b", 1.0)]
+        edges = [DataEdge("a", "b\nc", 0.0), DataEdge("b\nc", "a", 0.0)]
+        with pytest.raises(CycleDetected) as exc:
+            build_graph(tasks, edges)
+        assert str(exc.value) == "cycle detected: 'b\\nc' -> 'a'"
+
     def test_no_tasks(self):
         with pytest.raises(EmptyGraph):
             build_graph([], [])

@@ -5,6 +5,7 @@ import re
 import statistics
 
 import pytest
+from hypothesis import given
 
 from dagsched.dag import compute_heights, is_valid_order
 from dagsched.dagio import (
@@ -23,13 +24,14 @@ from dagsched.errors import (
     InfeasibleSpec,
     InvalidValue,
     NonPositiveSpeed,
+    SchedulingError,
     SchemaError,
     UnknownEdgeEndpoint,
 )
 from dagsched.evaluator import Chromosome, evaluate
 from dagsched.minmin import min_min_schedule
 
-from conftest import REF_EDGES, REF_WORKS
+from conftest import REF_EDGES, REF_WORKS, documents
 
 
 def ref_dag_json():
@@ -174,7 +176,38 @@ class TestRejectNonFiniteNumbers:
     def test_finite_numbers_still_parse(self):
         g = parse_dag('{"tasks": [{"id": "a", "work": 0}, {"id": "b", "work": 2.5}],'
                       ' "edges": [{"src": "a", "dst": "b", "bytes": 1e300}]}')
-        assert g.task("a").work == 0.0 and g.edge_bytes("a", "b") == 1e300
+        assert g.task("a").work == 0.0 and [(e.src, e.dst, e.bytes) for e in g.edges] == [("a", "b", 1e300)]
+
+
+DEEP = "[" * 200_000
+HUGE_INT = "9" * 5000  # past CPython's 4,300-digit limit on int conversion
+
+
+class TestTotalBoundary:
+    """Every document either builds or raises a SchedulingError."""
+
+    @pytest.mark.parametrize("parse", [parse_dag, parse_platform])
+    def test_deep_nesting(self, parse):
+        with pytest.raises(DocumentSyntaxError, match="nested too deeply"):
+            parse(DEEP)
+
+    @pytest.mark.parametrize("parse, doc", [
+        (parse_dag, '{"tasks": [{"id": "a", "work": %s}]}'),
+        (parse_platform, '{"machines": [{"id": "m", "speed": %s}]}'),
+    ])
+    def test_int_past_the_digit_limit(self, parse, doc):
+        # a DocumentSyntaxError; a Python without the limit (3.10 before 3.10.7) reads
+        # the int and rejects it as past the float range, a SchemaError
+        with pytest.raises(SchedulingError):
+            parse(doc % HUGE_INT)
+
+    @given(documents())
+    def test_every_document_builds_or_raises_a_scheduling_error(self, docs):
+        for parse, text in zip((parse_dag, parse_platform), docs):
+            try:
+                parse(text)
+            except SchedulingError:
+                pass
 
 
 class TestScheduleLog:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dagsched.dag import DataEdge, TaskNode, build_graph, compute_heights
 from dagsched.errors import InvalidOrder
-from dagsched.evaluator import Chromosome, CommMode, Timeline, evaluate, lower_bound
+from dagsched.evaluator import Chromosome, CommMode, Timeline, evaluate, lower_bound, place
 from dagsched.ga import generate_individual
 from dagsched.minmin import min_min_schedule
 from dagsched.platform import LinkSpec, Machine, build_platform
@@ -169,6 +169,28 @@ class TestKernelBitExact:
         g, p, _, _ = case
         c, tl = min_min_schedule(g, p, mode)
         assert tl == evaluate(g, p, c.copy(), mode)
+
+
+class TestPlaceIsMonotone:
+    """min_min_schedule re-places only the committed machine's column on this:
+    a machine that frees later never gives a ready task an earlier start or finish."""
+
+    @given(instances(), st.sampled_from(CommMode), st.data())
+    def test_later_free_at_never_places_earlier(self, case, mode, data):
+        g, p, order, machines = case
+        include = mode is CommMode.INCLUDE_TRANSFER
+        k = data.draw(st.integers(0, len(order) - 1), label="tasks placed")
+        tl = Timeline(*timeline_from_scratch(g, p, order[:k], machines[:k], include)) if k else Timeline()
+        # free times that tie with a parent's finish, and free times in between
+        times = sorted(data.draw(st.lists(st.one_of(st.sampled_from([0.0, *tl.finish.values()]), _finite(0.0, 500.0)),
+                                          min_size=2, max_size=5), label="free_at"))
+        placed = set(order[:k])
+        for tid in g.task_ids:
+            if tid in placed or not placed.issuperset(g.parents(tid)):
+                continue
+            for mid in p.machine_ids:
+                pairs = [place(g, p, tl, tid, mid, t, include) for t in times]
+                assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(pairs, pairs[1:])), (times, pairs)
 
 
 class TestLowerBound:

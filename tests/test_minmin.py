@@ -21,6 +21,7 @@ def oracle_min_min(g, p, mode):
     """Independent re-statement of the greedy rule, recomputed from scratch."""
     from dagsched.platform import execution_time, transfer_time
     include = mode is CommMode.INCLUDE_TRANSFER
+    edge_bytes = {(e.src, e.dst): e.bytes for e in g.edges}
     done = {}
     host = {}
     avail = {m: 0.0 for m in p.machine_ids}
@@ -31,7 +32,7 @@ def oracle_min_min(g, p, mode):
             if tid in host or any(q not in host for q in g.parents(tid)):
                 continue
             for mid in p.machine_ids:
-                ready = max((done[q] + (transfer_time(p, g.edge_bytes(q, tid), host[q], mid)
+                ready = max((done[q] + (transfer_time(p, edge_bytes[q, tid], host[q], mid)
                                         if include else 0.0)
                              for q in g.parents(tid)), default=0.0)
                 start = max(ready, avail[mid])
