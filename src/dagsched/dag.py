@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Container, Dict, List, Sequence, Set, Tuple
 
 from .errors import (
     CycleDetected,
@@ -45,6 +45,7 @@ class TaskGraph:
     """Validated, immutable DAG with precomputed adjacency.
 
     Construct through :func:`build_graph`; do not mutate after construction.
+    `_adjusted` caches a copy of adjust_heights' last map; no answer depends on it.
     """
 
     def __init__(self, tasks: Tuple[TaskNode, ...], edges: Tuple[DataEdge, ...],
@@ -61,6 +62,7 @@ class TaskGraph:
         self._children = children
         self.topo_order = topo_order
         self.task_ids = tuple(by_id)
+        self._adjusted = None
 
     def task(self, tid: TaskId) -> TaskNode:
         return self._by_id[tid]
@@ -148,13 +150,18 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
     return TaskGraph(tuple(tasks), tuple(edges), by_id, parents, inputs, children, tuple(order))
 
 
+def _longest(g: TaskGraph, weight: dict, zeroed: Container[TaskId] = ()) -> dict:
+    """Per task, 0 if zeroed, else its weight plus the most over its parents (0 for none)."""
+    out: dict = {}
+    get, parents = out.__getitem__, g._parents
+    for tid in g.topo_order:
+        out[tid] = 0 if tid in zeroed else weight[tid] + max(map(get, parents[tid]), default=0)
+    return out
+
+
 def compute_heights(g: TaskGraph) -> HeightMap:
     """Height 1 for entry tasks, otherwise 1 + max over parents."""
-    h: HeightMap = {}
-    for tid in g.topo_order:
-        ps = g.parents(tid)
-        h[tid] = 1 + max((h[p] for p in ps), default=0)
-    return h
+    return _longest(g, dict.fromkeys(g.task_ids, 1))
 
 
 def adjust_heights(g: TaskGraph, h: HeightMap, selected: TaskId) -> HeightMap:
@@ -163,18 +170,26 @@ def adjust_heights(g: TaskGraph, h: HeightMap, selected: TaskId) -> HeightMap:
     Returns a new map; the input is left untouched so the global heights
     survive into the next individual's generation. Tasks already at height 0
     stay at 0; every other task becomes 1 + max over its parents' new
-    heights (entry tasks without scheduled status go back to 1).
+    heights (entry tasks without scheduled status go back to 1). Handed back
+    the map it last returned for g, the adjusted map of its own zero set, it
+    re-derives only descendants of `selected`: no other task can change.
     """
     if h.get(selected) != 1:
         raise NotReady(f"task {selected!r} has height {h.get(selected)!r}, not 1")
-    new: HeightMap = {}
-    get, parents = new.__getitem__, g._parents
-    for tid in g.topo_order:
-        if tid == selected or h[tid] == 0:
-            new[tid] = 0
-        else:
-            ps = parents[tid]
-            new[tid] = 1 + max(map(get, ps)) if ps else 1
+    last = g._adjusted
+    if h != last:
+        new = _longest(g, dict.fromkeys(g.task_ids, 1), {selected, *(t for t in g.topo_order if h[t] == 0)})
+    else:
+        new = {**last, selected: 0}
+        get, parents, children, order = new.__getitem__, g._parents, g._children, g.topo_order
+        dirty = set(children[selected])  # the tasks with a changed parent
+        for tid in order[order.index(selected) + 1:]:
+            if tid in dirty:
+                v = 1 + max(map(get, parents[tid]))
+                if new[tid] and v != new[tid]:
+                    new[tid] = v
+                    dirty.update(children[tid])
+    g._adjusted = dict(new)
     return new
 
 

@@ -56,6 +56,8 @@ def _require(obj: dict, what: str, required: Dict[str, type], optional: Dict[str
         if not (_is_number(value) if typ is _NUM else isinstance(value, typ)):
             expected = "a finite number" if typ is _NUM else typ.__name__
             raise SchemaError(f"{what} field {key!r} must be {expected}, got {value!r:.40}")
+        if key in ("id", "name") and not value.isprintable():  # so a log or table line never splits
+            raise SchemaError(f"{what} field {key!r} must be printable, got {value!r}")
 
 
 def parse_dag(text: str) -> TaskGraph:

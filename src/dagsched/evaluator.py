@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .dag import TaskGraph, TaskId, is_valid_order
+from .dag import TaskGraph, TaskId, _longest, is_valid_order
 from .errors import InvalidOrder
 from .platform import MachineId, Platform, execution_time, transfer_time
 
@@ -82,9 +82,5 @@ def lower_bound(g: TaskGraph, p: Platform) -> float:
 
     Ignores communication and machine contention, so no schedule can beat it.
     """
-    longest: Dict[TaskId, float] = {}
-    for tid in g.topo_order:
-        node = g.task(tid)
-        best = min(execution_time(p, node, m) for m in p.machine_ids)
-        longest[tid] = best + max((longest[q] for q in g.parents(tid)), default=0.0)
-    return max(longest.values())
+    best = {tid: min(execution_time(p, g.task(tid), m) for m in p.machine_ids) for tid in g.topo_order}
+    return max(_longest(g, best).values())

@@ -223,11 +223,7 @@ def run(g: TaskGraph, p: Platform, cfg: GaConfig,
         prev_best = members[0].fitness
         children: List[Chromosome] = []
         for k, (a, b) in enumerate(rank_select_pairs(members, cfg.pairs(), rng)):
-            if n > 1:
-                kids = ops[k % 2](a, b, rng.randint(1, n - 1))
-            else:
-                kids = (a.copy(), b.copy())
-            for child in kids:
+            for child in ops[k % 2](a, b, rng.randint(1, n - 1) if n > 1 else 1):
                 if rng.random() < cfg.mutation_rate:
                     child = mutate(g, child, rng)
                 evaluate(g, p, child, mode)

@@ -96,12 +96,18 @@ def _object(draw, fields):
 _number = st.one_of(st.integers(1, 5), st.floats(0.5, 50.0))  # zero, negative and non-finite come as junk
 
 
+def _name(tid):
+    """The id, or now and then a name that holds a tab, a line or paragraph separator or a NEL."""
+    return _one_in(10).flatmap(lambda odd: st.sampled_from(["tab\tx", "a\u2028b", "a\u2029b", "a\x85b"])
+                               if odd else st.just(tid))
+
+
 @st.composite
 def _dag_doc(draw):
     # few ids, so duplicates, self-loops and cycles are common
     ids = draw(st.lists(st.sampled_from(["a", "b", "c", "line\nbreak"]), min_size=1, max_size=4,
                         unique=not draw(_one_in(5))))
-    tasks = [draw(_mostly(_object({"id": st.just(t), "work": _number, "name": st.just(t)}))) for t in ids]
+    tasks = [draw(_mostly(_object({"id": st.just(t), "work": _number, "name": _name(t)}))) for t in ids]
     loops = draw(_one_in(5))
     pairs = [(a, b) for a in ids for b in ids if loops or a != b]  # unknown endpoints come as junk
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
@@ -114,7 +120,7 @@ def _dag_doc(draw):
 @st.composite
 def _platform_doc(draw):
     ids = draw(st.lists(st.sampled_from(["m1", "m2", "m3"]), min_size=1, max_size=3, unique=not draw(_one_in(5))))
-    machines = [draw(_mostly(_object({"id": st.just(m), "speed": _number, "name": st.just(m)}))) for m in ids]
+    machines = [draw(_mostly(_object({"id": st.just(m), "speed": _number, "name": _name(m)}))) for m in ids]
     link = {"bandwidth": _number, "latency": _number}
     end = st.sampled_from(ids + ["m9"])
     # rows for tasks the DAG may lack ("z"), and rows that miss a machine or name an unknown one

@@ -1,10 +1,13 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from dagsched import dag as dag_mod
 from dagsched.dag import (
     DataEdge,
     TaskNode,
@@ -238,6 +241,80 @@ class TestAdjustHeightsAgainstPathEnumeration:
         before = dict(h)
         assert adjust_heights(g, h, selected) == adjusted_heights_by_path_enumeration(g, scheduled)
         assert h == before
+
+
+class TestAdjustHeightsHandedItsLastMap:
+    """Handed back the map it last returned, adjust_heights re-derives only
+    the selected task's descendants; nothing a caller does may change an answer."""
+
+    @given(st.integers(1, 10), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1), st.data())
+    def test_every_step_of_two_interleaved_walks(self, n, edge_prob, seed, data):
+        g = random_graph(n, edge_prob, seed)
+        walks = [compute_heights(g), compute_heights(g)]
+        while live := [k for k, h in enumerate(walks) if ready_tasks(g, h)]:
+            k = data.draw(st.sampled_from(live))
+            h = walks[k]
+            how = data.draw(st.sampled_from(["as returned", "equal copy", "float copy", "edited"]))
+            if how == "equal copy":
+                h = dict(h)
+            elif how == "float copy":  # equal to the map it came from, with 1.0 for 1
+                h = {t: float(v) for t, v in h.items()}
+            elif how == "edited":  # in place, on the very map adjust_heights returned
+                h[data.draw(st.sampled_from(g.task_ids))] = data.draw(st.integers(0, 4))
+            ready = ready_tasks(g, h)
+            if not ready:
+                walks[k] = h
+                continue
+            selected = data.draw(st.sampled_from(ready))
+            scheduled = {t for t in g.task_ids if h[t] == 0} | {selected}
+            before = dict(h)
+            out = adjust_heights(g, h, selected)
+            assert out == adjusted_heights_by_path_enumeration(g, scheduled)
+            assert all(type(v) is int for v in out.values())
+            assert h == before and out is not h
+            walks[k] = out
+
+    def test_walks_in_threads_share_one_graph(self):
+        # each thread's calls swap the graph's cached map under the others'
+        g = random_graph(12, 0.3, seed=5)
+        expected, errors = {}, []
+
+        def walk(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(30):
+                    h, scheduled = compute_heights(g), frozenset()
+                    while ready := ready_tasks(g, h):
+                        selected = rng.choice(ready)
+                        scheduled |= {selected}
+                        h = adjust_heights(g, h, selected)
+                        if scheduled not in expected:
+                            expected[scheduled] = adjusted_heights_by_path_enumeration(g, scheduled)
+                        assert h == expected[scheduled]
+            except Exception as e:  # a thread's exception would otherwise not fail the test
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+
+    def test_a_walk_recomputes_in_full_once(self, monkeypatch):
+        g = random_graph(40, 0.15, seed=3)
+        rng = random.Random(3)
+        h = compute_heights(g)
+        full, calls = dag_mod._longest, []
+        monkeypatch.setattr(dag_mod, "_longest", lambda *args: calls.append(args) or full(*args))
+        for _ in range(len(g)):
+            h = adjust_heights(g, h, rng.choice(ready_tasks(g, h)))
+        assert len(calls) == 1 and set(h.values()) == {0}
 
 
 class TestReadyTasks:

@@ -321,6 +321,22 @@ class TestRun:
         assert best.fitness == 6.0
         assert tl.makespan == 6.0
 
+    @pytest.mark.parametrize("mode", list(CrossoverMode))
+    def test_single_task_children_copy_their_parents(self, monkeypatch, mode):
+        # point 1 of a one-task chromosome swaps no gene under either operator, and draws nothing
+        class NoPointDrawn(random.Random):
+            def randint(self, a, b):
+                raise AssertionError("a one-task run drew a crossover point")
+
+        monkeypatch.setattr(random, "Random", NoPointDrawn)
+        g = build_graph([TaskNode("a", "a", 60.0)], [])
+        p = build_platform([Machine(f"m{i}", f"M{i}", float(i)) for i in range(1, 11)])
+        cfg = GaConfig(pop_size=4, max_iters=6, crossover_mode=mode, mutation_rate=0.5, rng_seed=5)
+        best, tl, stats = run(g, p, cfg)
+        # the best of the initial population, the load-balanced m1 and three random machines
+        assert (best.machines, tl.makespan) == (["m8"], 7.5)
+        assert stats.best_series == [7.5] * 7 and stats.iterations == 6
+
     def test_determinism(self, ref_graph, seven_machines):
         cfg = GaConfig(pop_size=20, max_iters=10, rng_seed=7)
         r1 = run(make_ref_graph(5.0), seven_machines, cfg)
