@@ -86,9 +86,9 @@ def run_grid(shapes=DEFAULT_SHAPES, n_seeds: int = DEFAULT_SEEDS, ccr: float = D
     return rows
 
 
-def ga_win_fraction(rows: List[BenchRow], tol: float = 1e-9) -> float:
-    """Fraction of instances where GA makespan <= min-min makespan."""
+def ga_win_fraction(rows: List[BenchRow]) -> float:
+    """Fraction of instances where GA makespan <= min-min makespan, within 1e-9."""
     if not rows:
         return 0.0
-    wins = sum(1 for r in rows if r.ga_makespan <= r.minmin_makespan + tol)
+    wins = sum(1 for r in rows if r.ga_makespan <= r.minmin_makespan + 1e-9)
     return wins / len(rows)

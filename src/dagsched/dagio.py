@@ -194,12 +194,9 @@ def generate_random_dag(spec: GenSpec) -> Tuple[TaskGraph, Dict[TaskId, int]]:
             for parent in sorted(rng.sample(prev, n_parents), key=prev.index):
                 edge_pairs.append((parent, tid))
                 has_child.add(parent)
-    if n >= 2:
-        # the single exit collects every task left childless
-        exit_id = ids[-1]
-        for tid in ids[:-1]:
-            if tid not in has_child:
-                edge_pairs.append((tid, exit_id))
+    for tid in ids[:-1]:  # the single exit collects every task left childless
+        if tid not in has_child:
+            edge_pairs.append((tid, ids[-1]))
 
     if spec.ccr == 0 or not edge_pairs:
         volumes = [0.0] * len(edge_pairs)
@@ -213,17 +210,14 @@ def generate_random_dag(spec: GenSpec) -> Tuple[TaskGraph, Dict[TaskId, int]]:
     return g, layer_of
 
 
-def generate_platform(n_machines: int, seed: int = 0,
-                      speed_range: Tuple[float, float] = (1.0, 1.0)) -> Platform:
-    """Seeded benchmark platform whose default link has unit bandwidth and no latency.
+def generate_platform(n_machines: int, seed: int = 0) -> Platform:
+    """Benchmark platform whose default link has unit bandwidth and no latency.
 
-    Speeds default to 1 (the per-task execution-time table's convention);
-    widen speed_range for heterogeneous-speed experiments.
+    Every machine has speed 1 (the per-task execution-time table's
+    convention), so the platform is the same for every seed.
     """
     if n_machines < 1:
         raise InvalidValue("n_machines must be >= 1")
-    rng = random.Random(seed)
-    machines = [Machine(id=f"m{i}", name=f"Machine{i}", speed=rng.uniform(*speed_range))
-                for i in range(1, n_machines + 1)]
+    machines = [Machine(id=f"m{i}", name=f"Machine{i}", speed=1.0) for i in range(1, n_machines + 1)]
     default = LinkSpec(src="*", dst="*", bandwidth=1.0, latency=0.0)
     return build_platform(machines, default_link=default)

@@ -76,13 +76,11 @@ def _walk(g: TaskGraph, h: HeightMap, pick: Callable[[List[TaskId]], Tuple[TaskI
     """
     order: List[TaskId] = []
     machines: List[str] = []
-    ready = ready_tasks(g, h)
-    while ready:
+    while ready := ready_tasks(g, h):
         tid, mid = pick(ready)
         order.append(tid)
         machines.append(mid)
         h = adjust_heights(g, h, tid)
-        ready = ready_tasks(g, h)
     return Chromosome(order, machines)
 
 

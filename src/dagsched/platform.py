@@ -30,9 +30,9 @@ class LinkSpec:
 class Platform:
     """Machines plus a directed link table with an optional default link.
 
-    `etc_override`, when given, maps task id -> machine id -> execution time
-    and takes precedence over the work/speed model. Construct through
-    :func:`build_platform`.
+    `etc_override` maps task id -> machine id -> execution time and takes
+    precedence over the work/speed model; it is None when there are no rows.
+    Construct through :func:`build_platform`.
     """
 
     def __init__(self, machines: Tuple[Machine, ...], by_id: Dict[MachineId, Machine],
@@ -78,20 +78,18 @@ def build_platform(machines: Sequence[Machine],
         table[(ln.src, ln.dst)] = ln
     if default_link is not None:
         _check_link(default_link)
-    etc = None
-    if etc_override is not None:
-        etc = {tid: dict(row) for tid, row in etc_override.items()}
-        for tid, row in etc.items():
-            for mid, val in row.items():
-                if mid not in by_id:
-                    raise UnknownMachine(f"etc row for task {tid!r} names unknown machine {mid!r}")
-                if not 0 <= val < math.inf:
-                    kind = "negative" if val < 0 else "non-finite"
-                    raise InvalidValue(f"etc[{tid!r}][{mid!r}] is {kind}: {val}")
-            for mid in by_id:
-                if mid not in row:
-                    raise InvalidValue(f"etc row for task {tid!r} has no entry for machine {mid!r}")
-    return Platform(tuple(machines), by_id, table, default_link, etc)
+    etc = {tid: dict(row) for tid, row in (etc_override or {}).items()}
+    for tid, row in etc.items():
+        for mid, val in row.items():
+            if mid not in by_id:
+                raise UnknownMachine(f"etc row for task {tid!r} names unknown machine {mid!r}")
+            if not 0 <= val < math.inf:
+                kind = "negative" if val < 0 else "non-finite"
+                raise InvalidValue(f"etc[{tid!r}][{mid!r}] is {kind}: {val}")
+        for mid in by_id:
+            if mid not in row:
+                raise InvalidValue(f"etc row for task {tid!r} has no entry for machine {mid!r}")
+    return Platform(tuple(machines), by_id, table, default_link, etc or None)
 
 
 def _check_link(ln: LinkSpec) -> None:

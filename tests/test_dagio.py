@@ -290,10 +290,12 @@ class TestGenerateRandomDag:
         assert dag_to_json(a) == dag_to_json(b)
 
     def test_tiny_sizes(self):
-        g1, _ = generate_random_dag(GenSpec(n_tasks=1, width=1, seed=0))
+        g1, layer_of = generate_random_dag(GenSpec(n_tasks=1, width=1, seed=0))
         assert len(g1) == 1
+        assert layer_of == {"t1": 0}  # `dagsched gen` reports "1 layers"
         g2, _ = generate_random_dag(GenSpec(n_tasks=2, width=1, seed=0))
         assert len(g2.edges) == 1
+        assert (g2.edges[0].src, g2.edges[0].dst) == ("t1", "t2")
 
     def test_ccr_calibration(self):
         spec = GenSpec(n_tasks=60, width=6, ccr=1.0, seed=3)
@@ -339,11 +341,12 @@ class TestGeneratePlatform:
         a = generate_platform(5, seed=2)
         b = generate_platform(5, seed=2)
         assert a.machines == b.machines
+        assert a.machines == generate_platform(5, seed=99).machines  # the same for every seed
 
     def test_speeds_positive(self):
         p = generate_platform(90, seed=0)
         assert len(p.machines) == 90
-        assert all(m.speed > 0 for m in p.machines)
+        assert all(m.speed == 1.0 for m in p.machines)
 
     def test_no_machines(self):
         with pytest.raises(InvalidValue):

@@ -54,6 +54,14 @@ class TestExecutionTime:
         p = build_platform([Machine("m", "M", 1.0)], etc_override={"t": {"m": 5.5}})
         assert execution_time(p, TaskNode("t", "t", 100.0), "m") == 5.5
 
+    def test_no_etc_rows_stored_as_none(self):
+        ms = [Machine("m", "M", 2.0)]
+        bare, empty = build_platform(ms), build_platform(ms, etc_override={})
+        assert bare.etc_override is None
+        assert empty.etc_override is None
+        t = TaskNode("t", "t", 21.0)
+        assert execution_time(bare, t, "m") == execution_time(empty, t, "m") == 10.5
+
     def test_unknown_machine(self):
         p = build_platform([Machine("m", "M", 1.0)])
         with pytest.raises(UnknownMachine):
