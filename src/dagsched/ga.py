@@ -2,10 +2,11 @@
 
 Population generation relies on the adjust-height trick: a chromosome order
 is grown by repeatedly picking a random ready task (adjusted height 1) and
-zeroing it out, which exposes its now-unblocked children. Both crossover
-operators keep each child's task order equal to its parent's, and mutation
-only swaps positions that provably cannot break a dependency, so every
-chromosome the GA ever produces is evaluable.
+zeroing it out, which exposes its now-unblocked children. No other task can
+become ready, so the walk scans for ready tasks once and then grows the list
+from those children. Both crossover operators keep each child's task order
+equal to its parent's, and mutation only swaps positions that provably cannot
+break a dependency, so every chromosome the GA ever produces is evaluable.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import enum
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import Callable, Dict, List, Optional, Tuple
@@ -76,11 +78,16 @@ def _walk(g: TaskGraph, h: HeightMap, pick: Callable[[List[TaskId]], Tuple[TaskI
     """
     order: List[TaskId] = []
     machines: List[str] = []
-    while ready := ready_tasks(g, h):
+    rank, ready = dict(zip(g.task_ids, range(len(g)))), ready_tasks(g, h)
+    while ready:
         tid, mid = pick(ready)
         order.append(tid)
         machines.append(mid)
         h = adjust_heights(g, h, tid)
+        ready.remove(tid)
+        for c in g.children(tid):
+            if h[c] == 1:
+                insort(ready, c, key=rank.__getitem__)
     return Chromosome(order, machines)
 
 

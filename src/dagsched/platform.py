@@ -109,13 +109,13 @@ def execution_time(p: Platform, t: TaskNode, m: MachineId) -> float:
 
 
 def transfer_time(p: Platform, nbytes: float, src: MachineId, dst: MachineId) -> float:
-    """Time to move nbytes from src to dst; 0 within one machine."""
+    """Time to move nbytes from src to dst; 0 within one machine. An empty link table is not searched."""
     if src not in p._by_id or dst not in p._by_id:
         p.machine(src)  # raises UnknownMachine, naming src first
         p.machine(dst)
     if src == dst:
         return 0.0
-    link = p.links.get((src, dst), p.default_link)
+    link = p.links.get((src, dst), p.default_link) if p.links else p.default_link
     if link is None:
         raise NoLinkDefined(f"no link {src!r} -> {dst!r} and no default link")
     return link.latency + nbytes / link.bandwidth

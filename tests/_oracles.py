@@ -6,18 +6,22 @@ plain DFS, swap safety from scanning the whole swap window for descendants
 and ancestors, ranked selection from weights handed to every draw, and
 optimal makespans from enumerating every valid order and machine assignment,
 each simulated by `timeline_from_scratch` from the edge list and the
-platform's tables alone. `kahn_order_or_cycle`, `valid_order_by_positions`
-and `min_min_from_scratch` keep earlier forms of the graph builder's ordering
-and cycle report, of the order check and of min-min, as the references the
-library must keep matching. `min_min_from_scratch` times its pairs with the
+platform's tables alone. `kahn_order_or_cycle`, `valid_order_by_positions`,
+`min_min_from_scratch` and `walk_by_ready_tasks` keep earlier forms of the
+graph builder's ordering and cycle report, of the order check, of min-min and
+of the GA's chromosome walk, as the references the library must keep
+matching. `min_min_from_scratch` times its pairs with the
 library's placement kernel, which `timeline_from_scratch` checks on its own:
-what it pins is min-min's choice of pairs, not the kernel.
+what it pins is min-min's choice of pairs, not the kernel. Likewise
+`walk_by_ready_tasks` calls the library's `ready_tasks` and `adjust_heights`,
+which path enumeration checks on its own: what it pins is the walk's ready
+list.
 """
 
 import itertools
 import random
 
-from dagsched.dag import DataEdge, TaskNode, build_graph
+from dagsched.dag import DataEdge, TaskNode, adjust_heights, build_graph, ready_tasks
 from dagsched.evaluator import Chromosome, CommMode, Timeline, place
 
 
@@ -217,6 +221,20 @@ def min_min_from_scratch(g, p, mode=CommMode.INCLUDE_TRANSFER):
         machines.append(mid)
     tl.makespan = max(tl.finish.values())
     return Chromosome(order, machines, tl.makespan), tl
+
+
+def walk_by_ready_tasks(g, h, pick):
+    """The GA's chromosome walk as it was first written: before every step it
+    rescans all tasks for the ready ones (adjusted height 1, declaration
+    order) and hands them to pick, then zeroes the picked task."""
+    order = []
+    machines = []
+    while ready := ready_tasks(g, h):
+        tid, mid = pick(ready)
+        order.append(tid)
+        machines.append(mid)
+        h = adjust_heights(g, h, tid)
+    return Chromosome(order, machines)
 
 
 def all_valid_orders(g):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dagsched.dag import DataEdge, TaskNode, build_graph, compute_heights
-from dagsched.errors import InvalidOrder
+from dagsched.errors import InvalidOrder, NoLinkDefined
 from dagsched.evaluator import Chromosome, CommMode, Timeline, evaluate, lower_bound, place
 from dagsched.ga import generate_individual
 from dagsched.minmin import min_min_schedule
@@ -48,6 +48,15 @@ class TestEvaluate:
         p = platform_of(1)
         tl = evaluate(g, p, Chromosome(["a", "b"], ["M1", "M1"]))
         assert tl.makespan == 7.0
+
+    def test_missing_link_raises_not_a_makespan(self):
+        # the only link runs a -> b; the child on a needs its parent's data from b
+        g = build_graph([TaskNode("p", "p", 1.0), TaskNode("c", "c", 1.0)], [DataEdge("p", "c", 1.0)])
+        p = build_platform([Machine("a", "A", 1.0), Machine("b", "B", 1.0)],
+                           links=[LinkSpec("a", "b", bandwidth=1.0)])
+        assert evaluate(g, p, Chromosome(["p", "c"], ["a", "b"])).makespan == 3.0
+        with pytest.raises(NoLinkDefined, match="^no link 'b' -> 'a' and no default link$"):
+            evaluate(g, p, Chromosome(["p", "c"], ["b", "a"]))
 
     def test_chain_with_transfer(self):
         g = build_graph([TaskNode("a", "a", 3.0), TaskNode("b", "b", 4.0)],

@@ -1,10 +1,12 @@
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dagsched import ga
 from dagsched.dag import (
     DataEdge,
     TaskNode,
@@ -29,11 +31,13 @@ from dagsched.ga import (
 from dagsched.platform import LinkSpec, Machine, build_platform
 
 from _oracles import (
+    adjusted_heights_by_path_enumeration,
     brute_force_optimum,
     random_graph,
     reachable_by_dfs,
     swap_is_safe_by_descendants,
     tie_averaged_rank_pairs,
+    walk_by_ready_tasks,
 )
 from conftest import dags_with_valid_orders, make_ref_graph
 
@@ -108,6 +112,46 @@ class TestLoadBalancedIndividual:
         c = load_balanced_individual(g, p, compute_heights(g))
         # a -> M1, b -> M2 (M1 holds 4), c -> M2 (3 < 4)
         assert c.machines == ["M1", "M2", "M2"]
+
+
+@st.composite
+def shuffled_graphs_with_heights(draw):
+    """A random DAG declared in a shuffled task order, so declaration order need
+    not be topological, and the adjusted heights of a random zero set (often
+    empty: the global heights)."""
+    g = random_graph(draw(st.integers(1, 12)), draw(st.sampled_from([0.1, 0.3, 0.6])),
+                     draw(st.integers(0, 2**32 - 1)))
+    g = build_graph(draw(st.permutations(g.tasks)), g.edges)
+    zeros = {t for t in g.task_ids if draw(st.booleans())} if draw(st.booleans()) else set()
+    return g, adjusted_heights_by_path_enumeration(g, zeros)
+
+
+class TestWalkAgainstPerStepScan:
+    @given(case=shuffled_graphs_with_heights(), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_same_chromosomes_and_draws(self, case, k, seed):
+        g, h = case
+        p = homogeneous(k)
+        want_rng, rng = random.Random(seed), random.Random(seed)
+        with patch("dagsched.ga._walk", walk_by_ready_tasks):
+            want = [generate_individual(g, p, h, want_rng), load_balanced_individual(g, p, h)]
+        got = [generate_individual(g, p, h, rng), load_balanced_individual(g, p, h)]
+        assert [(c.order, c.machines) for c in got] == [(c.order, c.machines) for c in want]
+        assert rng.getstate() == want_rng.getstate()
+
+    def test_one_ready_scan_and_one_adjust_per_task(self, monkeypatch):
+        calls = Counter()
+
+        def counted(f):
+            def wrapper(*args):
+                calls[f.__name__] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(ga, "ready_tasks", counted(ga.ready_tasks))
+        monkeypatch.setattr(ga, "adjust_heights", counted(ga.adjust_heights))
+        g = random_graph(30, 0.2, seed=4)
+        generate_individual(g, homogeneous(3), compute_heights(g), random.Random(0))
+        assert calls == {"ready_tasks": 1, "adjust_heights": 30}
 
 
 class TestRankSelection:

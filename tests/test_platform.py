@@ -88,10 +88,12 @@ class TestTransferTime:
         assert transfer_time(p, 100.0, "a", "b") == 1.0
         assert transfer_time(p, 100.0, "b", "a") == 100.0  # falls back to default
 
-    def test_no_link(self):
-        p = build_platform([Machine("a", "A", 1.0), Machine("b", "B", 1.0)])
-        with pytest.raises(NoLinkDefined):
-            transfer_time(p, 1.0, "a", "b")
+    @pytest.mark.parametrize("links, src, dst", [([], "a", "b"), ([LinkSpec("a", "b", bandwidth=1.0)], "b", "a")],
+                             ids=["no-links", "only-the-other-way"])
+    def test_no_link(self, links, src, dst):
+        p = build_platform([Machine("a", "A", 1.0), Machine("b", "B", 1.0)], links=links)
+        with pytest.raises(NoLinkDefined, match=f"^no link '{src}' -> '{dst}' and no default link$"):
+            transfer_time(p, 1.0, src, dst)
 
     @pytest.mark.parametrize("src, dst, named", [("zz", "b", "zz"), ("a", "zz", "zz"), ("yy", "zz", "yy"),
                                                   ("zz", "zz", "zz")])
