@@ -45,7 +45,8 @@ class TaskGraph:
     """Validated, immutable DAG with precomputed adjacency.
 
     Construct through :func:`build_graph`; do not mutate after construction.
-    `_adjusted` caches a copy of adjust_heights' last map; no answer depends on it.
+    `_adjusted` caches a copy of adjust_heights' last map and `_child_bits` (built on its
+    first hit) each task's children as bits of topological positions; no answer depends on them.
     """
 
     def __init__(self, tasks: Tuple[TaskNode, ...], edges: Tuple[DataEdge, ...],
@@ -62,7 +63,7 @@ class TaskGraph:
         self._children = children
         self.topo_order = topo_order
         self.task_ids = tuple(by_id)
-        self._adjusted = None
+        self._adjusted = self._child_bits = None
 
     def task(self, tid: TaskId) -> TaskNode:
         return self._by_id[tid]
@@ -181,14 +182,18 @@ def adjust_heights(g: TaskGraph, h: HeightMap, selected: TaskId) -> HeightMap:
         new = _longest(g, dict.fromkeys(g.task_ids, 1), {selected, *(t for t in g.topo_order if h[t] == 0)})
     else:
         new = {**last, selected: 0}
-        get, parents, children, order = new.__getitem__, g._parents, g._children, g.topo_order
-        dirty = set(children[selected])  # the tasks with a changed parent
-        for tid in order[order.index(selected) + 1:]:
-            if tid in dirty:
-                v = 1 + max(map(get, parents[tid]))
-                if new[tid] and v != new[tid]:
-                    new[tid] = v
-                    dirty.update(children[tid])
+        get, parents, order, bits = new.__getitem__, g._parents, g.topo_order, g._child_bits
+        if bits is None:
+            at = dict(zip(order, range(len(order))))
+            bits = g._child_bits = {t: sum(1 << at[c] for c in g._children[t]) for t in order}
+        dirty = bits[selected]  # the positions of the tasks with a changed parent
+        while dirty:  # lowest first: a task's parents sit below it, so each is final by then
+            tid = order[(dirty & -dirty).bit_length() - 1]
+            dirty &= dirty - 1  # clears that lowest bit
+            v = 1 + max(map(get, parents[tid]))
+            if new[tid] and v != new[tid]:
+                new[tid] = v
+                dirty |= bits[tid]
     g._adjusted = dict(new)
     return new
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import random
 import time
-from bisect import insort
+from bisect import bisect, insort
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 from typing import Callable, Dict, List, Optional, Tuple
@@ -117,23 +117,26 @@ def rank_select_pairs(members: List[Chromosome], n_pairs: int,
 
     Members with equal fitness share the mean of their ranks, so an all-equal
     population is sampled uniformly. The two parents of a pair are always
-    distinct members.
+    distinct members. Each draw is `choices(idx, cum_weights=cum)`'s own draw
+    written out, so the stream depends on `random()` alone.
     """
-    idx = sorted(range(len(members)), key=lambda i: members[i].fitness)
+    fitness = [c.fitness for c in members]
+    idx = sorted(range(len(members)), key=fitness.__getitem__)
     n = len(idx)
     # rank N for the best, down to 1; a tie group of k at rank offset `at`
     # shares the mean of its ranks, n - at - (k - 1) / 2, exact in floats
     weights: List[float] = []
-    for _, group in groupby(idx, key=lambda i: members[i].fitness):
+    for _, group in groupby(map(fitness.__getitem__, idx)):
         k, at = len(list(group)), len(weights)
         weights += [n - at - (k - 1) / 2] * k
     cum = list(accumulate(weights))  # what choices(weights=) would build on every draw
+    total, random_ = cum[-1] + 0.0, rng.random
     pairs = []
     for _ in range(n_pairs):
-        a = rng.choices(idx, cum_weights=cum)[0]
+        a = idx[bisect(cum, random_() * total, 0, n - 1)]
         b = a
         while b == a:
-            b = rng.choices(idx, cum_weights=cum)[0]
+            b = idx[bisect(cum, random_() * total, 0, n - 1)]
         pairs.append((members[a], members[b]))
     return pairs
 
@@ -147,11 +150,10 @@ def crossover_order_preserving(p1: Chromosome, p2: Chromosome, point: int) -> Tu
 
 def crossover_task_aligned(p1: Chromosome, p2: Chromosome, point: int) -> Tuple[Chromosome, Chromosome]:
     """Swap machines matched by task identity for tasks at positions >= point in p1."""
-    swap = set(p1.order[point:])
-    m1 = {t: m for t, m in zip(p1.order, p1.machines)}
-    m2 = {t: m for t, m in zip(p2.order, p2.machines)}
-    c1 = Chromosome(list(p1.order), [m2[t] if t in swap else m for t, m in zip(p1.order, p1.machines)])
-    c2 = Chromosome(list(p2.order), [m1[t] if t in swap else m for t, m in zip(p2.order, p2.machines)])
+    m1 = dict(zip(p1.order[point:], p1.machines[point:]))  # p1's genes for the swapped tasks
+    m2 = dict(zip(p2.order, p2.machines))
+    c1 = Chromosome(list(p1.order), p1.machines[:point] + list(map(m2.__getitem__, p1.order[point:])))
+    c2 = Chromosome(list(p2.order), list(map(m1.get, p2.order, p2.machines)))  # m1's gene, else p2's own
     return c1, c2
 
 
@@ -228,7 +230,7 @@ def run(g: TaskGraph, p: Platform, cfg: GaConfig,
         prev_best = members[0].fitness
         children: List[Chromosome] = []
         for k, (a, b) in enumerate(rank_select_pairs(members, cfg.pairs(), rng)):
-            for child in ops[k % 2](a, b, rng.randint(1, n - 1) if n > 1 else 1):
+            for child in ops[k % 2](a, b, rng.randrange(1, n) if n > 1 else 1):
                 if rng.random() < cfg.mutation_rate:
                     child = mutate(g, child, rng)
                 evaluate(g, p, child, mode)

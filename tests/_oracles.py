@@ -7,12 +7,14 @@ and ancestors, ranked selection from weights handed to every draw, and
 optimal makespans from enumerating every valid order and machine assignment,
 each simulated by `timeline_from_scratch` from the edge list and the
 platform's tables alone. `kahn_order_or_cycle`, `valid_order_by_positions`,
-`min_min_from_scratch` and `walk_by_ready_tasks` keep earlier forms of the
-graph builder's ordering and cycle report, of the order check, of min-min and
-of the GA's chromosome walk, as the references the library must keep
-matching. `min_min_from_scratch` times its pairs with the
-library's placement kernel, which `timeline_from_scratch` checks on its own:
-what it pins is min-min's choice of pairs, not the kernel. Likewise
+`min_min_from_scratch`, `walk_by_ready_tasks`, `rescan_after_selected` and
+`task_aligned_by_maps` keep earlier forms of the graph builder's ordering and
+cycle report, of the order check, of min-min, of the GA's chromosome walk, of
+`adjust_heights`' re-derivation of a selected task's descendants and of the
+task-aligned crossover, as the references the library must keep matching.
+`min_min_from_scratch` times its pairs with the library's placement kernel,
+which `timeline_from_scratch` checks on its own: what it pins is min-min's
+choice of pairs, not the kernel. Likewise
 `walk_by_ready_tasks` calls the library's `ready_tasks` and `adjust_heights`,
 which path enumeration checks on its own: what it pins is the walk's ready
 list.
@@ -235,6 +237,36 @@ def walk_by_ready_tasks(g, h, pick):
         machines.append(mid)
         h = adjust_heights(g, h, tid)
     return Chromosome(order, machines)
+
+
+def rescan_after_selected(g, h, selected):
+    """adjust_heights' descendant re-derivation as it was first written, from a
+    map h that is the adjusted map of its own zero set: scan the topological
+    order after `selected` and re-derive each task with a changed parent.
+    Returns the new map and the tasks it re-derived, in that order."""
+    new = {**h, selected: 0}
+    order = list(g.topo_order)
+    dirty, derived = set(g.children(selected)), []
+    for tid in order[order.index(selected) + 1:]:
+        if tid in dirty:
+            derived.append(tid)
+            v = 1 + max(new[q] for q in g.parents(tid))
+            if new[tid] and v != new[tid]:
+                new[tid] = v
+                dirty.update(g.children(tid))
+    return new, derived
+
+
+def task_aligned_by_maps(p1, p2, point):
+    """The task-aligned crossover as it was first written: each parent's
+    task -> machine map, and a set of the tasks at p1's positions >= point,
+    whose machines the two children trade."""
+    swap = set(p1.order[point:])
+    m1 = {t: m for t, m in zip(p1.order, p1.machines)}
+    m2 = {t: m for t, m in zip(p2.order, p2.machines)}
+    c1 = Chromosome(list(p1.order), [m2[t] if t in swap else m for t, m in zip(p1.order, p1.machines)])
+    c2 = Chromosome(list(p2.order), [m1[t] if t in swap else m for t, m in zip(p2.order, p2.machines)])
+    return c1, c2
 
 
 def all_valid_orders(g):

@@ -34,6 +34,7 @@ from _oracles import (
     kahn_order_or_cycle,
     random_graph,
     reachable_by_dfs,
+    rescan_after_selected,
     valid_order_by_positions,
 )
 from conftest import dags_with_valid_orders
@@ -315,6 +316,48 @@ class TestAdjustHeightsHandedItsLastMap:
         for _ in range(len(g)):
             h = adjust_heights(g, h, rng.choice(ready_tasks(g, h)))
         assert len(calls) == 1 and set(h.values()) == {0}
+
+
+class RecordingParents(dict):
+    """A graph's parent table that logs each task whose parents are read."""
+
+    def __init__(self, parents):
+        super().__init__(parents)
+        self.log = []
+
+    def __getitem__(self, tid):
+        self.log.append(tid)
+        return super().__getitem__(tid)
+
+
+class TestAdjustHeightsBitsetPastOneWord:
+    """The hit path pops the tasks with a changed parent from an int bitset of
+    topological positions, lowest first. Graphs of 60-150 tasks put those
+    positions past 64 and 128; path enumeration checks the full recompute at
+    the sizes it can reach (TestAdjustHeightsAgainstPathEnumeration)."""
+
+    @given(st.integers(60, 150), st.sampled_from([0.02, 0.05, 0.1]), st.integers(0, 2**32 - 1))
+    def test_every_hit_matches_the_full_recompute_and_the_old_scan(self, n, edge_prob, seed):
+        rng = random.Random(seed)
+        g = random_graph(n, edge_prob, seed)
+        tasks = list(g.tasks)
+        rng.shuffle(tasks)
+        g = build_graph(tasks, g.edges)  # declaration order is no longer topological
+        g._parents = read = RecordingParents(g._parents)
+        h, hits = compute_heights(g), 0
+        while ready := ready_tasks(g, h):
+            selected = rng.choice(ready)
+            want, derived = rescan_after_selected(g, h, selected)
+            hit = h == g._adjusted
+            read.log.clear()
+            out = adjust_heights(g, h, selected)
+            if hit:  # the same tasks re-derived, in the same order, as the old scan
+                hits += 1
+                assert read.log == derived
+            g._adjusted = None  # forces the full recompute
+            assert adjust_heights(g, h, selected) == out == want
+            h = out
+        assert hits == n - 1 and set(h.values()) == {0}
 
 
 class TestReadyTasks:

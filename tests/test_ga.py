@@ -36,6 +36,7 @@ from _oracles import (
     random_graph,
     reachable_by_dfs,
     swap_is_safe_by_descendants,
+    task_aligned_by_maps,
     tie_averaged_rank_pairs,
     walk_by_ready_tasks,
 )
@@ -182,7 +183,7 @@ class TestRankSelection:
         for n in counts.values():
             assert n / 40_000 == pytest.approx(0.25, abs=0.05)
 
-    @given(st.lists(st.integers(0, 4).map(float), min_size=2, max_size=40), st.integers(0, 2**32 - 1))
+    @given(st.lists(st.integers(0, 4).map(float), min_size=2, max_size=120), st.integers(0, 2**32 - 1))
     def test_same_draws_as_per_draw_tie_averaged_weights(self, fitnesses, seed):
         pop = self._pop(fitnesses)
         rng, ref_rng = random.Random(seed), random.Random(seed)
@@ -232,6 +233,18 @@ class TestCrossoverTaskAligned:
         p1, _ = parents()
         c1, c2 = crossover_task_aligned(p1, p1.copy(), POINT)
         assert c1.machines == c2.machines == P1_MACHINES
+
+
+class TestTaskAlignedAgainstMaps:
+    @given(case=shuffled_graphs_with_heights(), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_same_children_at_every_point(self, case, k, seed):
+        g, _ = case
+        p, h, rng = homogeneous(k), compute_heights(g), random.Random(seed)
+        p1, p2 = generate_individual(g, p, h, rng), generate_individual(g, p, h, rng)
+        for point in range(len(g) + 1):
+            got = crossover_task_aligned(p1, p2, point)
+            want = task_aligned_by_maps(p1, p2, point)
+            assert [(c.order, c.machines) for c in got] == [(c.order, c.machines) for c in want]
 
 
 class TestMutate:
@@ -369,8 +382,10 @@ class TestRun:
     def test_single_task_children_copy_their_parents(self, monkeypatch, mode):
         # point 1 of a one-task chromosome swaps no gene under either operator, and draws nothing
         class NoPointDrawn(random.Random):
-            def randint(self, a, b):
-                raise AssertionError("a one-task run drew a crossover point")
+            def randrange(self, start, stop=None, step=1):  # randint draws through randrange too
+                if stop is not None:
+                    raise AssertionError("a one-task run drew a crossover point")
+                return super().randrange(start)
 
         monkeypatch.setattr(random, "Random", NoPointDrawn)
         g = build_graph([TaskNode("a", "a", 60.0)], [])
