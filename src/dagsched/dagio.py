@@ -60,20 +60,38 @@ def _require(obj: dict, what: str, required: Dict[str, type], optional: Dict[str
             raise SchemaError(f"{what} field {key!r} must be printable, got {value!r}")
 
 
+# True exactly when _require(raw, "task"/"edge", ...) raises nothing: json.loads builds exact dict, str, int,
+# float and bool, never a subclass, so `type(v) in _NUM` answers as _is_number's isinstance-but-not-bool
+# test does, and NaN, ±inf and ints past the float range fail the range test.
+def _task_ok(raw) -> bool:
+    return (type(raw) is dict and raw.keys() <= {"id", "work", "name"} and type(tid := raw.get("id")) is str
+            and tid.isprintable() and type(work := raw.get("work")) in _NUM and -_MAX <= work <= _MAX
+            and type(name := raw.get("name", "")) is str and name.isprintable())
+
+
+def _edge_ok(raw) -> bool:  # _require does not ask src and dst to be printable
+    return (type(raw) is dict and raw.keys() <= {"src", "dst", "bytes"} and type(raw.get("src")) is str
+            and type(raw.get("dst")) is str and type(b := raw.get("bytes", 0.0)) in _NUM and -_MAX <= b <= _MAX)
+
+
 def parse_dag(text: str) -> TaskGraph:
-    """Parse a DAG document (JSON text) into a validated TaskGraph."""
+    """Parse a DAG document (JSON text) into a validated TaskGraph.
+
+    Well-formed records pass one check per kind; the rest go to _require, which alone words each SchemaError."""
     doc = _loads(text)
     _require(doc, "DAG document", {"tasks": list}, {"edges": list})
     if not doc["tasks"]:
         raise SchemaError("DAG document has an empty tasks array")
     tasks = []
     for raw in doc["tasks"]:
-        _require(raw, "task", {"id": str, "work": _NUM}, {"name": str})
-        tasks.append(TaskNode(id=raw["id"], name=raw.get("name", raw["id"]), work=float(raw["work"])))
+        if not _task_ok(raw):
+            _require(raw, "task", {"id": str, "work": _NUM}, {"name": str})
+        tasks.append(TaskNode(raw["id"], raw.get("name", raw["id"]), float(raw["work"])))
     edges = []
     for raw in doc.get("edges", []):
-        _require(raw, "edge", {"src": str, "dst": str}, {"bytes": _NUM})
-        edges.append(DataEdge(src=raw["src"], dst=raw["dst"], bytes=float(raw.get("bytes", 0.0))))
+        if not _edge_ok(raw):
+            _require(raw, "edge", {"src": str, "dst": str}, {"bytes": _NUM})
+        edges.append(DataEdge(raw["src"], raw["dst"], float(raw.get("bytes", 0.0))))
     return build_graph(tasks, edges)
 
 

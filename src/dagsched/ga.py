@@ -195,6 +195,12 @@ def mutate(g: TaskGraph, c: Chromosome, rng: random.Random) -> Chromosome:
     return c
 
 
+def evaluate_all(g: TaskGraph, p: Platform, chromosomes: List[Chromosome], mode: CommMode) -> None:
+    """One `evaluate` per chromosome, in list order; it draws no random numbers, so a batch keeps the stream."""
+    for c in chromosomes:
+        evaluate(g, p, c, mode)
+
+
 def update_population(members: List[Chromosome], children: List[Chromosome]) -> List[Chromosome]:
     """Merge children, keep the best len(members); incumbents win fitness ties.
 
@@ -211,13 +217,11 @@ def run(g: TaskGraph, p: Platform, cfg: GaConfig,
     t0 = time.perf_counter()
     rng = random.Random(cfg.rng_seed)
     heights = compute_heights(g)
-    n = len(g)
 
     members = [load_balanced_individual(g, p, heights)]
     while len(members) < cfg.pop_size:
         members.append(generate_individual(g, p, heights, rng))
-    for c in members:
-        evaluate(g, p, c, mode)
+    evaluate_all(g, p, members, mode)
     members.sort(key=lambda c: c.fitness)
     # (even pair, odd pair) operators; built per run so a rebound module name takes effect
     order, aligned = crossover_order_preserving, crossover_task_aligned
@@ -227,22 +231,18 @@ def run(g: TaskGraph, p: Platform, cfg: GaConfig,
     stats = RunStats(best_series=[members[0].fitness])
     stagnant = 0
     for _ in range(cfg.max_iters):
-        prev_best = members[0].fitness
-        children: List[Chromosome] = []
+        children: List[Chromosome] = []  # rebound first: the last generation's children go before new ones come
         for k, (a, b) in enumerate(rank_select_pairs(members, cfg.pairs(), rng)):
-            for child in ops[k % 2](a, b, rng.randrange(1, n) if n > 1 else 1):
-                if rng.random() < cfg.mutation_rate:
-                    child = mutate(g, child, rng)
-                evaluate(g, p, child, mode)
-                children.append(child)
+            for child in ops[k % 2](a, b, rng.randrange(1, len(g)) if len(g) > 1 else 1):
+                children.append(mutate(g, child, rng) if rng.random() < cfg.mutation_rate else child)
+        evaluate_all(g, p, children, mode)
         members = update_population(members, children)
         stats.iterations += 1
+        stagnant = 0 if members[0].fitness < stats.best_series[-1] else stagnant + 1
         stats.best_series.append(members[0].fitness)
-        stagnant = 0 if members[0].fitness < prev_best else stagnant + 1
         if stagnant >= cfg.stagnation_limit:
             break
 
-    best = members[0]
-    timeline = evaluate(g, p, best.copy(), mode)
+    timeline = evaluate(g, p, members[0].copy(), mode)
     stats.wall_time_s = time.perf_counter() - t0
-    return best, timeline, stats
+    return members[0], timeline, stats

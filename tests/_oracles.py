@@ -7,11 +7,12 @@ and ancestors, ranked selection from weights handed to every draw, and
 optimal makespans from enumerating every valid order and machine assignment,
 each simulated by `timeline_from_scratch` from the edge list and the
 platform's tables alone. `kahn_order_or_cycle`, `valid_order_by_positions`,
-`min_min_from_scratch`, `walk_by_ready_tasks`, `rescan_after_selected` and
-`task_aligned_by_maps` keep earlier forms of the graph builder's ordering and
-cycle report, of the order check, of min-min, of the GA's chromosome walk, of
-`adjust_heights`' re-derivation of a selected task's descendants and of the
-task-aligned crossover, as the references the library must keep matching.
+`min_min_from_scratch`, `walk_by_ready_tasks`, `rescan_after_selected`,
+`task_aligned_by_maps` and `parse_dag_by_fields` keep earlier forms of the
+graph builder's ordering and cycle report, of the order check, of min-min, of
+the GA's chromosome walk, of `adjust_heights`' re-derivation of a selected
+task's descendants, of the task-aligned crossover and of the DAG document's
+record checks, as the references the library must keep matching.
 `min_min_from_scratch` times its pairs with the library's placement kernel,
 which `timeline_from_scratch` checks on its own: what it pins is min-min's
 choice of pairs, not the kernel. Likewise
@@ -24,6 +25,8 @@ import itertools
 import random
 
 from dagsched.dag import DataEdge, TaskNode, adjust_heights, build_graph, ready_tasks
+from dagsched.dagio import _NUM, _loads, _require
+from dagsched.errors import SchemaError
 from dagsched.evaluator import Chromosome, CommMode, Timeline, place
 
 
@@ -303,6 +306,24 @@ def brute_force_optimum(g, p, mode=CommMode.INCLUDE_TRANSFER):
             if best is None or ms < best:
                 best = ms
     return best
+
+
+def parse_dag_by_fields(text):
+    """parse_dag as it was before its accept checks: `_require` checks every
+    task and edge record field by field, and records are built by keyword."""
+    doc = _loads(text)
+    _require(doc, "DAG document", {"tasks": list}, {"edges": list})
+    if not doc["tasks"]:
+        raise SchemaError("DAG document has an empty tasks array")
+    tasks = []
+    for raw in doc["tasks"]:
+        _require(raw, "task", {"id": str, "work": _NUM}, {"name": str})
+        tasks.append(TaskNode(id=raw["id"], name=raw.get("name", raw["id"]), work=float(raw["work"])))
+    edges = []
+    for raw in doc.get("edges", []):
+        _require(raw, "edge", {"src": str, "dst": str}, {"bytes": _NUM})
+        edges.append(DataEdge(src=raw["src"], dst=raw["dst"], bytes=float(raw.get("bytes", 0.0))))
+    return build_graph(tasks, edges)
 
 
 def random_graph(n_tasks, edge_prob, seed, max_bytes=20.0):

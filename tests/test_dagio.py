@@ -9,7 +9,11 @@ from hypothesis import given
 
 from dagsched.dag import compute_heights, is_valid_order
 from dagsched.dagio import (
+    _NUM,
     GenSpec,
+    _edge_ok,
+    _require,
+    _task_ok,
     dag_to_json,
     generate_platform,
     generate_random_dag,
@@ -32,6 +36,7 @@ from dagsched.evaluator import Chromosome, evaluate
 from dagsched.minmin import min_min_schedule
 
 from conftest import REF_EDGES, REF_WORKS, documents
+from _oracles import parse_dag_by_fields
 
 
 def ref_dag_json():
@@ -208,6 +213,79 @@ class TestTotalBoundary:
                 parse(text)
             except SchedulingError:
                 pass
+
+
+def _passes_require(raw, what, required, optional):
+    try:
+        _require(raw, what, required, optional)
+    except SchemaError:
+        return False
+    return True
+
+
+def _parsed(parse, text):
+    try:
+        g = parse(text)
+    except SchedulingError as e:
+        return type(e), str(e)
+    return g.tasks, g.edges
+
+
+TASK = {"id": "a", "work": 1}
+EDGE = {"src": "a", "dst": "b"}
+
+
+class TestAcceptChecks:
+    """parse_dag accepts a record by one check per kind and leaves every error to _require."""
+
+    @pytest.mark.parametrize("raw, ok", [
+        (TASK, True),
+        ({**TASK, "work": 2.5, "name": "job"}, True),
+        ({**TASK, "work": -0.0}, True),
+        ({**TASK, "work": -1e308}, True),
+        ({**TASK, "work": True}, False),
+        ({**TASK, "work": math.nan}, False),
+        ({**TASK, "work": math.inf}, False),
+        ({**TASK, "work": -math.inf}, False),
+        ({**TASK, "work": 10**400}, False),
+        ({**TASK, "work": "1"}, False),
+        ({**TASK, "id": "a\tb"}, False),
+        ({**TASK, "name": "job\n1"}, False),
+        ({**TASK, "name": 1}, False),
+        ({**TASK, "bogus": 0}, False),
+        ({"id": "a"}, False),
+        ({"work": 1}, False),
+        ({**TASK, "id": 1}, False),
+        (["a", 1], False),
+        ({}, False),
+    ])
+    def test_task_ok_is_require_passing(self, raw, ok):
+        assert _task_ok(raw) is ok
+        assert _passes_require(raw, "task", {"id": str, "work": _NUM}, {"name": str}) is ok
+
+    @pytest.mark.parametrize("raw, ok", [
+        (EDGE, True),
+        ({**EDGE, "bytes": 3}, True),
+        ({**EDGE, "bytes": -0.0}, True),
+        ({**EDGE, "src": "a\tb", "dst": "c\nd"}, True),  # endpoints need not be printable
+        ({**EDGE, "bytes": True}, False),
+        ({**EDGE, "bytes": math.nan}, False),
+        ({**EDGE, "bytes": math.inf}, False),
+        ({**EDGE, "bytes": -math.inf}, False),
+        ({**EDGE, "bytes": 10**400}, False),
+        ({**EDGE, "bytes": None}, False),
+        ({**EDGE, "bogus": 0}, False),
+        ({"src": "a"}, False),
+        ({**EDGE, "src": 1}, False),
+        (["a", "b"], False),
+    ])
+    def test_edge_ok_is_require_passing(self, raw, ok):
+        assert _edge_ok(raw) is ok
+        assert _passes_require(raw, "edge", {"src": str, "dst": str}, {"bytes": _NUM}) is ok
+
+    @given(documents())
+    def test_parse_dag_matches_the_field_by_field_parser(self, docs):
+        assert _parsed(parse_dag, docs[0]) == _parsed(parse_dag_by_fields, docs[0])
 
 
 class TestScheduleLog:
