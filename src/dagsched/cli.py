@@ -130,11 +130,10 @@ def _parse_shapes(text: str):
 def cmd_bench(args) -> int:
     shapes = bench_mod.DEFAULT_SHAPES if args.shapes is None else _parse_shapes(args.shapes)
     cfg = _ga_config(args)
-    cfg.validate()
     if args.seeds < 1:
         raise InvalidValue(f"--seeds must be >= 1, got {args.seeds}")
     for n_tasks, _, width in shapes:
-        GenSpec(n_tasks=n_tasks, width=width, ccr=args.ccr).validate()
+        GenSpec(n_tasks=n_tasks, width=width, ccr=args.ccr)
     _write(args.out, lambda sink: None, "a")  # a bad --out fails here, before the grid runs; "a" keeps its rows
     rows = bench_mod.run_grid(shapes=shapes, n_seeds=args.seeds, ccr=args.ccr,
                               mode=_COMM_MODES[args.comm], cfg=cfg)

@@ -169,7 +169,7 @@ class GenSpec:
     work_range: Tuple[float, float] = (10.0, 30.0)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         lo, hi = self.work_range
         # with ccr > 0, bytes reach 2 * ccr * the mean work, and that mean's float sum must not overflow
         if (self.n_tasks < 1 or self.width < 1 or not 0 <= self.ccr < math.inf or not 0 < lo <= hi < math.inf
@@ -186,7 +186,6 @@ def generate_random_dag(spec: GenSpec) -> Tuple[TaskGraph, Dict[TaskId, int]]:
     the mean execution time is about the requested communication-to-computation
     ratio.
     """
-    spec.validate()
     rng = random.Random(spec.seed)
     n = spec.n_tasks
     ids = [f"t{i}" for i in range(1, n + 1)]

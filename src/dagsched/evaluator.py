@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .dag import TaskGraph, TaskId, _longest, is_valid_order
-from .errors import InvalidOrder
+from .errors import InvalidOrder, InvalidValue
 from .platform import MachineId, Platform, execution_time, transfer_time
 
 
@@ -61,6 +61,8 @@ def evaluate(g: TaskGraph, p: Platform, c: Chromosome,
     Positions are processed in chromosome order; a machine becomes available
     only after its previously assigned task (in that order) finishes.
     """
+    if not isinstance(mode, CommMode):
+        raise InvalidValue(f"mode must be a CommMode, got {mode!r}")
     if len(c.machines) != len(c.order) or not is_valid_order(g, c.order):
         raise InvalidOrder("chromosome needs every task once, parents first, and one machine per task")
     tl = Timeline()

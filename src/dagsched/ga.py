@@ -31,8 +31,10 @@ class CrossoverMode(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaConfig:
+    """GA settings, checked when built: one that exists is valid; vary a field with dataclasses.replace."""
+
     pop_size: int = 100
     max_iters: int = 50
     stagnation_limit: int = 50
@@ -42,11 +44,9 @@ class GaConfig:
     rng_seed: int = 0
 
     def pairs(self) -> int:
-        if self.pairs_per_generation is not None:
-            return self.pairs_per_generation
-        return max(1, self.pop_size // 4)
+        return self.pairs_per_generation if self.pairs_per_generation is not None else max(1, self.pop_size // 4)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("pop_size", "max_iters", "stagnation_limit", "pairs_per_generation", "rng_seed"):
             value = getattr(self, name)
             if type(value) is not int and (name, value) != ("pairs_per_generation", None):
@@ -213,7 +213,6 @@ def update_population(members: List[Chromosome], children: List[Chromosome]) -> 
 def run(g: TaskGraph, p: Platform, cfg: GaConfig,
         mode: CommMode = CommMode.INCLUDE_TRANSFER) -> Tuple[Chromosome, Timeline, RunStats]:
     """Full GA run; fully reproducible from cfg.rng_seed."""
-    cfg.validate()
     t0 = time.perf_counter()
     rng = random.Random(cfg.rng_seed)
     heights = compute_heights(g)

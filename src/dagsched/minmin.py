@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .dag import TaskGraph, TaskId
+from .errors import InvalidValue
 # evaluate, execution_time and transfer_time stay bound: perfbench/tracing.py wraps these names
 from .evaluator import Chromosome, CommMode, Timeline, evaluate, place  # noqa: F401
 from .platform import Platform, execution_time, transfer_time  # noqa: F401
@@ -19,6 +20,8 @@ def min_min_schedule(g: TaskGraph, p: Platform,
     first machine, in declaration order. A ready task's parents never move, so a
     step re-places only the committed machine's column of each ready row.
     """
+    if not isinstance(mode, CommMode):
+        raise InvalidValue(f"mode must be a CommMode, got {mode!r}")
     include = mode is CommMode.INCLUDE_TRANSFER
     tl = Timeline()
     ids, mids = g.task_ids, p.machine_ids

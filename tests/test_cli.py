@@ -9,6 +9,7 @@ from dagsched import bench as bench_mod
 from dagsched import cli as cli_mod
 from dagsched import ga
 from dagsched.cli import main
+from dagsched.dagio import GenSpec, generate_random_dag, parse_dag
 
 from conftest import REF_EDGES, REF_WORKS, documents
 
@@ -326,6 +327,15 @@ class TestGen:
             assert main(["gen", "--tasks", "25", "--seed", "3", *width, "--out", str(out)]) == 0
             files.append(out.read_bytes())
         assert files[0] == files[1]
+
+    def test_document_to_stdout_without_out(self, capsys):
+        assert main(["gen", "--tasks", "7", "--seed", "2"]) == 0
+        captured = capsys.readouterr()
+        g = parse_dag(captured.out)
+        want, layer_of = generate_random_dag(GenSpec(n_tasks=7, width=bench_mod.default_width(7), seed=2))
+        assert g.tasks == want.tasks and g.edges == want.edges
+        n_layers = max(layer_of.values()) + 1
+        assert captured.err == f"7 tasks, {len(want.edges)} edges, {n_layers} layers, seed 2\n"
 
     def test_single_task(self, tmp_path, capsys):
         out = tmp_path / "one.json"

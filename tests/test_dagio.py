@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -384,21 +385,23 @@ class TestGenerateRandomDag:
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleSpec):
-            GenSpec(n_tasks=0, width=1).validate()
+            GenSpec(n_tasks=0, width=1)
         with pytest.raises(InfeasibleSpec):
-            GenSpec(n_tasks=5, width=1, work_range=(0.0, 1.0)).validate()
+            GenSpec(n_tasks=5, width=1, work_range=(0.0, 1.0))
+        with pytest.raises(InfeasibleSpec, match="^invalid generator spec: GenSpec"):
+            dataclasses.replace(GenSpec(n_tasks=5, width=1), width=0)
 
     @pytest.mark.parametrize("bad", [dict(ccr=math.nan), dict(ccr=math.inf), dict(work_range=(math.nan, 30.0)),
                                      dict(work_range=(10.0, math.inf))])
     def test_non_finite_field_rejected(self, bad):
         with pytest.raises(InfeasibleSpec):
-            GenSpec(n_tasks=5, width=1, **bad).validate()
+            GenSpec(n_tasks=5, width=1, **bad)
 
     @pytest.mark.parametrize("bad", [dict(ccr=1e307), dict(ccr=1e-10, work_range=(1e308, 1.7e308))])
     def test_overflowing_bytes_rejected(self, bad):
         # the first overflows the byte volumes, the second the float sum of the work
         with pytest.raises(InfeasibleSpec):
-            GenSpec(n_tasks=5, width=2, **bad).validate()
+            GenSpec(n_tasks=5, width=2, **bad)
 
     def test_largest_bytes_stay_finite(self):
         g, _ = generate_random_dag(GenSpec(n_tasks=5, width=2, ccr=2e306, seed=1))

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dagsched.dag import DataEdge, TaskNode, build_graph, compute_heights
-from dagsched.errors import InvalidOrder, NoLinkDefined
+from dagsched.errors import InvalidOrder, InvalidValue, NoLinkDefined
 from dagsched.evaluator import Chromosome, CommMode, Timeline, evaluate, lower_bound, place
-from dagsched.ga import generate_individual
+from dagsched.ga import GaConfig, generate_individual, run
 from dagsched.minmin import min_min_schedule
 from dagsched.platform import LinkSpec, Machine, build_platform
 
@@ -24,6 +24,21 @@ from conftest import dags_with_valid_orders
 def platform_of(n, speed=1.0, bandwidth=10.0):
     machines = [Machine(f"M{i}", f"Machine{i}", speed) for i in range(1, n + 1)]
     return build_platform(machines, default_link=LinkSpec("*", "*", bandwidth=bandwidth))
+
+
+class TestModeMustBeACommMode:
+    # any other value, even the enum's own "include", would silently ignore transfers
+    @pytest.mark.parametrize("mode", ["include", True, None])
+    def test_rejected(self, mode):
+        g = build_graph([TaskNode("a", "a", 1.0), TaskNode("b", "b", 1.0)], [DataEdge("a", "b", 5.0)])
+        p = platform_of(2)
+        message = f"^mode must be a CommMode, got {mode!r}$"
+        with pytest.raises(InvalidValue, match=message):
+            evaluate(g, p, Chromosome(["a", "b"], ["M1", "M2"]), mode)
+        with pytest.raises(InvalidValue, match=message):
+            min_min_schedule(g, p, mode)
+        with pytest.raises(InvalidValue, match=message):
+            run(g, p, GaConfig(pop_size=4, max_iters=1), mode)
 
 
 class TestEvaluate:

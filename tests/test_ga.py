@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from unittest.mock import patch
@@ -362,7 +363,19 @@ class TestGaConfig:
                                      dict(rng_seed=None), dict(rng_seed=1.5)])
     def test_invalid_values(self, bad):
         with pytest.raises(InvalidValue):
-            GaConfig(**bad).validate()
+            GaConfig(**bad)
+
+    def test_checked_when_built(self):
+        with pytest.raises(InvalidValue, match="^pop_size must be >= 2$"):
+            GaConfig(pop_size=1)
+        with pytest.raises(InvalidValue, match="^pop_size must be >= 2$"):
+            dataclasses.replace(GaConfig(), pop_size=1)
+
+    def test_frozen(self):
+        cfg = GaConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.pop_size = 3
+        assert cfg.pop_size == 100
 
     def test_run_rejects_a_mode_given_by_its_value(self):
         g = build_graph([TaskNode("a", "a", 1.0), TaskNode("b", "b", 1.0)], [])
