@@ -170,6 +170,9 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if ({*map(type, (self.n_tasks, self.width, self.seed))} != {int} or type(self.work_range) is not tuple
+                or len(self.work_range) != 2 or not {*map(type, (self.ccr, *self.work_range))} <= {int, float}):
+            raise InfeasibleSpec(f"invalid generator spec: {self}")
         lo, hi = self.work_range
         # with ccr > 0, bytes reach 2 * ccr * the mean work, and that mean's float sum must not overflow
         if (self.n_tasks < 1 or self.width < 1 or not 0 <= self.ccr < math.inf or not 0 < lo <= hi < math.inf

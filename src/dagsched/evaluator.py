@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .dag import TaskGraph, TaskId, _longest, is_valid_order
 from .errors import InvalidOrder, InvalidValue
@@ -36,30 +36,29 @@ class Timeline:
     makespan: float = 0.0
 
 
-def place(g: TaskGraph, p: Platform, tl: Timeline, tid: TaskId, mid: MachineId,
-          free_at: float, include: bool) -> Tuple[float, float]:
-    """(start, finish) of task tid on machine mid, whose parents are in tl.
+def ready_time(g: TaskGraph, p: Platform, tl: Timeline, tid: TaskId, mid: MachineId, include: bool) -> float:
+    """When the last input of task tid, whose parents are in tl, reaches machine mid.
 
-    The task starts at the later of its data-ready time and free_at, the time
-    machine mid becomes available. Data from a parent on mid itself, or from
-    any parent when include is false, is ready when that parent finishes.
+    Data from a parent on mid itself, or from any parent when include is
+    false, is ready when that parent finishes; a task without parents is
+    ready at 0.
     """
-    start, finish, host = free_at, tl.finish, tl.machine
+    ready, finish, host = 0.0, tl.finish, tl.machine
     for q, nbytes in g._inputs[tid]:
         t = finish[q]
         if include and (src := host[q]) != mid:
             t += transfer_time(p, nbytes, src, mid)
-        if t > start:
-            start = t
-    return start, start + execution_time(p, g._by_id[tid], mid)
+        if t > ready:
+            ready = t
+    return ready
 
 
 def evaluate(g: TaskGraph, p: Platform, c: Chromosome,
              mode: CommMode = CommMode.INCLUDE_TRANSFER) -> Timeline:
     """Simulate the chromosome and stamp its fitness with the makespan.
 
-    Positions are processed in chromosome order; a machine becomes available
-    only after its previously assigned task (in that order) finishes.
+    Positions are processed in chromosome order; a task starts at the later of its
+    data-ready time and the finish of its machine's previous task in that order.
     """
     if not isinstance(mode, CommMode):
         raise InvalidValue(f"mode must be a CommMode, got {mode!r}")
@@ -69,9 +68,9 @@ def evaluate(g: TaskGraph, p: Platform, c: Chromosome,
     available: Dict[MachineId, float] = {}
     include = mode is CommMode.INCLUDE_TRANSFER
     for tid, mid in zip(c.order, c.machines):
-        start, end = place(g, p, tl, tid, mid, available.get(mid, 0.0), include)
-        tl.start[tid] = start
-        tl.finish[tid] = end
+        ready, free = ready_time(g, p, tl, tid, mid, include), available.get(mid, 0.0)
+        tl.start[tid] = start = ready if ready > free else free
+        tl.finish[tid] = end = start + execution_time(p, g._by_id[tid], mid)
         tl.machine[tid] = mid
         available[mid] = end
     tl.makespan = max(tl.finish.values())

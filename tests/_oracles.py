@@ -13,12 +13,11 @@ graph builder's ordering and cycle report, of the order check, of min-min, of
 the GA's chromosome walk, of `adjust_heights`' re-derivation of a selected
 task's descendants, of the task-aligned crossover and of the DAG document's
 record checks, as the references the library must keep matching.
-`min_min_from_scratch` times its pairs with the library's placement kernel,
-which `timeline_from_scratch` checks on its own: what it pins is min-min's
-choice of pairs, not the kernel. Likewise
-`walk_by_ready_tasks` calls the library's `ready_tasks` and `adjust_heights`,
-which path enumeration checks on its own: what it pins is the walk's ready
-list.
+`min_min_from_scratch` times its pairs by `timeline_from_scratch`'s own step,
+`pair_times_from_scratch`, so it pins min-min's timing as well as its choice
+of pairs. `walk_by_ready_tasks` calls the library's `ready_tasks` and
+`adjust_heights`, which path enumeration checks on its own: what it pins is
+the walk's ready list.
 """
 
 import itertools
@@ -27,7 +26,7 @@ import random
 from dagsched.dag import DataEdge, TaskNode, adjust_heights, build_graph, ready_tasks
 from dagsched.dagio import _NUM, _loads, _require
 from dagsched.errors import SchemaError
-from dagsched.evaluator import Chromosome, CommMode, Timeline, place
+from dagsched.evaluator import Chromosome, CommMode, Timeline
 
 
 def all_paths_from_entries(g):
@@ -156,32 +155,48 @@ def tie_averaged_rank_pairs(members, n_pairs, rng):
     return pairs
 
 
-def timeline_from_scratch(g, p, order, machines, include_transfer=True):
-    """(start, finish, machine, makespan) of one chromosome, from g.edges and
-    the platform's link table, machines and ETC rows alone.
-
-    A task starts at the latest of its machine's free time and, per parent,
-    that parent's finish plus (latency + bytes / bandwidth) when the parent ran
-    on another machine; it then runs for its ETC entry or work / speed. These
-    are the float operations the schedule model defines, in that grouping, so
-    a simulator that keeps them agrees to the last bit.
-    """
+def inputs_from_edges(g):
+    """task -> [(parent, bytes)] in edge declaration order, from g.edges alone."""
     inputs = {}
     for e in g.edges:
         inputs.setdefault(e.dst, []).append((e.src, e.bytes))
-    speed = {m.id: m.speed for m in p.machines}
+    return inputs
+
+
+def pair_times_from_scratch(g, p, inputs, finish, host, tid, mid, include_transfer=True):
+    """(data-ready time, run time) of task tid on machine mid, from the
+    platform's link table, machines and ETC rows, given each parent's finish
+    time and machine.
+
+    Data is ready at the latest, over the parents (0 with none), of the
+    parent's finish plus (latency + bytes / bandwidth) when the parent ran on
+    another machine; the task runs for its ETC entry or work / speed. These
+    are the float operations the schedule model defines, in that grouping, so
+    a simulator that keeps them agrees to the last bit.
+    """
+    arrivals = [0.0]
+    for q, nbytes in inputs.get(tid, ()):
+        if include_transfer and host[q] != mid:
+            link = p.links.get((host[q], mid), p.default_link)
+            arrivals.append(finish[q] + (link.latency + nbytes / link.bandwidth))
+        else:
+            arrivals.append(finish[q])
+    etc = (p.etc_override or {}).get(tid)
+    speed = next(m.speed for m in p.machines if m.id == mid)
+    return max(arrivals), (etc[mid] if etc is not None else g.task(tid).work / speed)
+
+
+def timeline_from_scratch(g, p, order, machines, include_transfer=True):
+    """(start, finish, machine, makespan) of one chromosome, from g.edges and
+    the platform's tables alone: each task starts at the later of its machine's
+    free time and its data-ready time (`pair_times_from_scratch`), then runs.
+    """
+    inputs = inputs_from_edges(g)
     start, finish, host, free = {}, {}, {}, {}
     for tid, mid in zip(order, machines):
-        ready = [free.get(mid, 0.0)]
-        for q, nbytes in inputs.get(tid, ()):
-            if include_transfer and host[q] != mid:
-                link = p.links.get((host[q], mid), p.default_link)
-                ready.append(finish[q] + (link.latency + nbytes / link.bandwidth))
-            else:
-                ready.append(finish[q])
-        start[tid] = max(ready)
-        etc = (p.etc_override or {}).get(tid)
-        finish[tid] = start[tid] + (etc[mid] if etc is not None else g.task(tid).work / speed[mid])
+        ready, run = pair_times_from_scratch(g, p, inputs, finish, host, tid, mid, include_transfer)
+        start[tid] = max(free.get(mid, 0.0), ready)
+        finish[tid] = start[tid] + run
         host[tid] = mid
         free[mid] = finish[tid]
     return start, finish, host, max(finish.values())
@@ -197,10 +212,11 @@ def valid_order_by_positions(g, order):
 
 
 def min_min_from_scratch(g, p, mode=CommMode.INCLUDE_TRANSFER):
-    """min-min as it was first written: every step re-places every ready
-    (task, machine) pair and commits the first one, in task-then-machine
-    declaration order, that finishes earliest."""
+    """min-min as it was first written: every step re-times every ready
+    (task, machine) pair from scratch and commits the first one, in
+    task-then-machine declaration order, that finishes earliest."""
     include = mode is CommMode.INCLUDE_TRANSFER
+    inputs = inputs_from_edges(g)
     tl = Timeline()
     available = {m: 0.0 for m in p.machine_ids}
     unscheduled_parents = {tid: len(g.parents(tid)) for tid in g.task_ids}
@@ -212,9 +228,10 @@ def min_min_from_scratch(g, p, mode=CommMode.INCLUDE_TRANSFER):
             if tid in tl.machine or unscheduled_parents[tid] > 0:
                 continue
             for mid in p.machine_ids:
-                start, end = place(g, p, tl, tid, mid, available[mid], include)
-                if best is None or end < best[0]:
-                    best = (end, tid, mid, start)
+                ready, run = pair_times_from_scratch(g, p, inputs, tl.finish, tl.machine, tid, mid, include)
+                start = max(available[mid], ready)
+                if best is None or start + run < best[0]:
+                    best = (start + run, tid, mid, start)
         end, tid, mid, start = best
         tl.start[tid] = start
         tl.finish[tid] = end

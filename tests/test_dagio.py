@@ -391,6 +391,14 @@ class TestGenerateRandomDag:
         with pytest.raises(InfeasibleSpec, match="^invalid generator spec: GenSpec"):
             dataclasses.replace(GenSpec(n_tasks=5, width=1), width=0)
 
+    @pytest.mark.parametrize("bad", [dict(n_tasks=5.5), dict(n_tasks="5"), dict(n_tasks=True), dict(width=2.5),
+                                     dict(seed=1.5), dict(work_range=(1.0, 2.0, 3.0))])
+    def test_field_of_the_wrong_type_rejected(self, bad):
+        # each reached generate_random_dag or a comparison, or was accepted, before the type check
+        spec = {"n_tasks": 5, "width": 2, **bad}
+        with pytest.raises(InfeasibleSpec, match="^invalid generator spec: GenSpec"):
+            GenSpec(**spec)
+
     @pytest.mark.parametrize("bad", [dict(ccr=math.nan), dict(ccr=math.inf), dict(work_range=(math.nan, 30.0)),
                                      dict(work_range=(10.0, math.inf))])
     def test_non_finite_field_rejected(self, bad):

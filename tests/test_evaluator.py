@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dagsched.dag import DataEdge, TaskNode, build_graph, compute_heights
 from dagsched.errors import InvalidOrder, InvalidValue, NoLinkDefined
-from dagsched.evaluator import Chromosome, CommMode, Timeline, evaluate, lower_bound, place
+from dagsched.evaluator import Chromosome, CommMode, Timeline, evaluate, lower_bound, ready_time
 from dagsched.ga import GaConfig, generate_individual, run
 from dagsched.minmin import min_min_schedule
 from dagsched.platform import LinkSpec, Machine, build_platform
@@ -15,6 +15,8 @@ from dagsched.platform import LinkSpec, Machine, build_platform
 from _oracles import (
     all_paths_from_entries,
     all_valid_orders,
+    inputs_from_edges,
+    pair_times_from_scratch,
     random_graph,
     timeline_from_scratch,
 )
@@ -195,26 +197,30 @@ class TestKernelBitExact:
         assert tl == evaluate(g, p, c.copy(), mode)
 
 
-class TestPlaceIsMonotone:
-    """min_min_schedule re-places only the committed machine's column on this:
-    a machine that frees later never gives a ready task an earlier start or finish."""
+class TestReadyTimeMatchesTheOracle:
+    """evaluate and min_min_schedule time every pair by ready_time: on a
+    partial timeline it must give each ready task the oracle's data-ready time
+    on every machine, bit for bit, and evaluate must start the next task at
+    the later of that and its machine's free time."""
 
     @given(instances(), st.sampled_from(CommMode), st.data())
-    def test_later_free_at_never_places_earlier(self, case, mode, data):
+    def test_ready_time_is_the_oracle_data_ready_time(self, case, mode, data):
         g, p, order, machines = case
         include = mode is CommMode.INCLUDE_TRANSFER
         k = data.draw(st.integers(0, len(order) - 1), label="tasks placed")
         tl = Timeline(*timeline_from_scratch(g, p, order[:k], machines[:k], include)) if k else Timeline()
-        # free times that tie with a parent's finish, and free times in between
-        times = sorted(data.draw(st.lists(st.one_of(st.sampled_from([0.0, *tl.finish.values()]), _finite(0.0, 500.0)),
-                                          min_size=2, max_size=5), label="free_at"))
+        inputs = inputs_from_edges(g)
         placed = set(order[:k])
         for tid in g.task_ids:
             if tid in placed or not placed.issuperset(g.parents(tid)):
                 continue
             for mid in p.machine_ids:
-                pairs = [place(g, p, tl, tid, mid, t, include) for t in times]
-                assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(pairs, pairs[1:])), (times, pairs)
+                want = pair_times_from_scratch(g, p, inputs, tl.finish, tl.machine, tid, mid, include)[0]
+                assert ready_time(g, p, tl, tid, mid, include) == want, (tid, mid)
+        tid, mid = order[k], machines[k]
+        free = max((tl.finish[t] for t in order[:k] if tl.machine[t] == mid), default=0.0)
+        ready = ready_time(g, p, tl, tid, mid, include)
+        assert evaluate(g, p, Chromosome(order, machines), mode).start[tid] == max(ready, free)
 
 
 class TestLowerBound:

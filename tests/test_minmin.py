@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dagsched.dag import DataEdge, TaskNode, build_graph, is_valid_order
+from dagsched.errors import NoLinkDefined
 from dagsched.evaluator import CommMode, evaluate, lower_bound
 from dagsched.minmin import min_min_schedule
 from dagsched.platform import LinkSpec, Machine, build_platform
@@ -98,6 +99,17 @@ class TestMinMin:
     def test_fitness_is_makespan(self, ref_graph, mode):
         c, tl = min_min_schedule(ref_graph, platform([1.0, 1.5], bandwidth=5.0), mode)
         assert c.fitness == tl.makespan == max(tl.finish.values())
+
+    def test_missing_link_raises_for_the_first_pair_that_needs_it(self):
+        # a runs on M2; b's row then needs M2 -> M1 (defined) and M2 -> M3 (not)
+        tasks = [TaskNode("a", "a", 4.0), TaskNode("b", "b", 2.0), TaskNode("c", "c", 3.0)]
+        g = build_graph(tasks, [DataEdge("a", "b", 5.0), DataEdge("a", "c", 1.0)])
+        machines = [Machine("M1", "M1", 1.0), Machine("M2", "M2", 2.0), Machine("M3", "M3", 1.5)]
+        p = build_platform(machines, [LinkSpec("M2", "M1", 1.0)])
+        with pytest.raises(NoLinkDefined) as err:
+            min_min_schedule(g, p)
+        assert type(err.value) is NoLinkDefined
+        assert str(err.value) == "no link 'M2' -> 'M3' and no default link"
 
     def test_deterministic(self, ref_graph):
         p = platform([1.0, 1.5], bandwidth=5.0)
