@@ -15,6 +15,7 @@ from .dagio import (
     generate_random_dag,
     parse_dag,
     parse_platform,
+    quote_name,
     write_bench_csv,
     write_schedule_log,
 )
@@ -78,8 +79,7 @@ def _ga_config(args, rng_seed: int = GaConfig.rng_seed) -> GaConfig:
 
 def cmd_validate(args) -> int:
     g, p = _load_instance(args)
-    entries = ",".join(g.task(t).name for t in g.entry_tasks())
-    exits = ",".join(g.task(t).name for t in g.exit_tasks())
+    entries, exits = (",".join(quote_name(g.task(t).name, ",") for t in ts) for ts in (g.entry_tasks(), g.exit_tasks()))
     print(f"{len(g)} tasks, {len(p.machines)} machines, entry={entries}, exit={exits}")
     print("cycle check: ok")
     return 0

@@ -36,6 +36,8 @@ def _loads(text: str):
 
 _NUM = (int, float)
 _MAX = sys.float_info.max
+_UNIT_LINK = LinkSpec("*", "*", 1.0, 0.0)  # generate_platform's default link
+_unit_machines: Tuple[Machine, ...] = ()  # generate_platform's frozen records, shared; rebound whole, never edited
 
 
 def _is_number(v) -> bool:
@@ -105,8 +107,7 @@ def dag_to_json(g: TaskGraph) -> str:
 
 def _link(raw, what: str, ends: Dict[str, type]) -> LinkSpec:
     _require(raw, what, {**ends, "bandwidth": _NUM}, {"latency": _NUM})
-    return LinkSpec(src=raw.get("src", "*"), dst=raw.get("dst", "*"),
-                    bandwidth=float(raw["bandwidth"]), latency=float(raw.get("latency", 0.0)))
+    return LinkSpec(raw.get("src", "*"), raw.get("dst", "*"), float(raw["bandwidth"]), float(raw.get("latency", 0.0)))
 
 
 def parse_platform(text: str) -> Platform:
@@ -119,7 +120,7 @@ def parse_platform(text: str) -> Platform:
     machines = []
     for raw in doc["machines"]:
         _require(raw, "machine", {"id": str, "speed": _NUM}, {"name": str})
-        machines.append(Machine(id=raw["id"], name=raw.get("name", raw["id"]), speed=float(raw["speed"])))
+        machines.append(Machine(raw["id"], raw.get("name", raw["id"]), float(raw["speed"])))
     links = [_link(raw, "link", {"src": str, "dst": str}) for raw in doc.get("links", [])]
     default = _link(doc["default_link"], "default_link", {}) if "default_link" in doc else None
     etc = doc.get("etc")
@@ -130,17 +131,22 @@ def parse_platform(text: str) -> Platform:
     return build_platform(machines, links, default, etc)
 
 
+def quote_name(name: str, sep: str) -> str:
+    """`name` as JSON text if it starts with a quote or, with a space added at each end, holds `sep`; else as is."""
+    return json.dumps(name) if sep in f" {name} " or name.startswith('"') else name
+
+
 def write_schedule_log(g: TaskGraph, p: Platform, timeline: Timeline,
                        chromosome: Chromosome, sink) -> None:
     """One `Schedule <task> on <machine>` line per task, by ascending start time.
 
-    Start-time ties fall back to chromosome position. The final line reports
-    the makespan with exactly six decimals.
+    Start-time ties fall back to chromosome position; a name is quoted as
+    quote_name says. The final line reports the makespan with exactly six decimals.
     """
     pos = {tid: i for i, tid in enumerate(chromosome.order)}
     for tid in sorted(timeline.start, key=lambda t: (timeline.start[t], pos[t])):
-        task_name = g.task(tid).name
-        machine_name = p.machine(timeline.machine[tid]).name
+        task_name = quote_name(g.task(tid).name, " on ")
+        machine_name = quote_name(p.machine(timeline.machine[tid]).name, " on ")
         sink.write(f"Schedule {task_name} on {machine_name}\n")
     sink.write(f"Simulation Time: {timeline.makespan:.6f}\n")
 
@@ -193,7 +199,7 @@ def generate_random_dag(spec: GenSpec) -> Tuple[TaskGraph, Dict[TaskId, int]]:
     n = spec.n_tasks
     ids = [f"t{i}" for i in range(1, n + 1)]
     works = [rng.uniform(*spec.work_range) for _ in range(n)]
-    tasks = [TaskNode(id=ids[i], name=f"job{i + 1}", work=works[i]) for i in range(n)]
+    tasks = [TaskNode(ids[i], f"job{i + 1}", works[i]) for i in range(n)]
 
     layers: List[List[str]] = [[ids[0]]]
     if n >= 2:
@@ -223,21 +229,19 @@ def generate_random_dag(spec: GenSpec) -> Tuple[TaskGraph, Dict[TaskId, int]]:
     else:
         mean_bytes = spec.ccr * statistics.fmean(works)
         volumes = [rng.uniform(0.0, 2.0 * mean_bytes) for _ in edge_pairs]
-    edges = [DataEdge(src=a, dst=b, bytes=v) for (a, b), v in zip(edge_pairs, volumes)]
-
-    g = build_graph(tasks, edges)
-    layer_of = {tid: k for k, layer in enumerate(layers) for tid in layer}
-    return g, layer_of
+    edges = [DataEdge(a, b, v) for (a, b), v in zip(edge_pairs, volumes)]
+    return build_graph(tasks, edges), {tid: k for k, layer in enumerate(layers) for tid in layer}
 
 
 def generate_platform(n_machines: int, seed: int = 0) -> Platform:
     """Benchmark platform whose default link has unit bandwidth and no latency.
 
-    Every machine has speed 1 (the per-task execution-time table's
-    convention), so the platform is the same for every seed.
+    Every machine has speed 1 (the per-task execution-time table's convention), so the platform
+    is the same for every seed, and every platform shares one tuple of frozen machine records.
     """
+    global _unit_machines
     if n_machines < 1:
         raise InvalidValue("n_machines must be >= 1")
-    machines = [Machine(id=f"m{i}", name=f"Machine{i}", speed=1.0) for i in range(1, n_machines + 1)]
-    default = LinkSpec(src="*", dst="*", bandwidth=1.0, latency=0.0)
-    return build_platform(machines, default_link=default)
+    if len(machines := _unit_machines) < n_machines:  # a concurrent caller keeps slicing the tuple it read
+        machines = _unit_machines = tuple(Machine(f"m{i}", f"Machine{i}", 1.0) for i in range(1, n_machines + 1))
+    return build_platform(machines[:n_machines], default_link=_UNIT_LINK)

@@ -57,6 +57,16 @@ class TestValidate:
         assert main(["validate", str(dag), str(plt)]) != 0
         assert "cycle" in capsys.readouterr().err
 
+    def test_name_holding_a_comma_is_quoted(self, tmp_path, capsys):
+        # unquoted, the entry list read "x on Machine2,p,q": three names or two?
+        dag, plt = tmp_path / "dag.json", tmp_path / "p.json"
+        dag.write_text(json.dumps({"tasks": [{"id": "a", "name": "x on Machine2", "work": 1},
+                                             {"id": "b", "name": "p,q", "work": 1}]}))
+        write_platform(plt, n=1)
+        assert main(["validate", str(dag), str(plt)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == \
+            '2 tasks, 1 machines, entry=x on Machine2,"p,q", exit=x on Machine2,"p,q"'
+
     def test_missing_file(self, tmp_path, capsys):
         plt = tmp_path / "p.json"
         write_platform(plt)
@@ -93,6 +103,16 @@ class TestSchedule:
         log = tmp_path / "out.log"
         assert main(["schedule", str(dag), str(plt), "--alg", "minmin", "--out", str(log)]) == 0
         assert log.read_text() == "Schedule job1 on Machine1\nSimulation Time: 3.000000\n"
+
+    def test_name_holding_the_separator_is_quoted(self, tmp_path, capsys):
+        # unquoted, "Schedule x on Machine2 on Machine1" does not say which machine ran the task
+        dag = tmp_path / "one.json"
+        dag.write_text(json.dumps({"tasks": [{"id": "a", "name": "x on Machine2", "work": 3}]}))
+        plt = tmp_path / "p.json"
+        write_platform(plt, n=1)
+        assert main(["schedule", str(dag), str(plt), "--alg", "minmin"]) == 0
+        assert capsys.readouterr().out == \
+            'makespan: 3.000000\nSchedule "x on Machine2" on Machine1\nSimulation Time: 3.000000\n'
 
     def test_ga_deterministic_logs(self, ref_paths, tmp_path, capsys):
         logs = []

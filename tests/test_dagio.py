@@ -7,8 +7,10 @@ import statistics
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from dagsched.dag import compute_heights, is_valid_order
+from dagsched import dagio
+from dagsched.dag import TaskNode, build_graph, compute_heights, is_valid_order
 from dagsched.dagio import (
     _NUM,
     GenSpec,
@@ -20,6 +22,7 @@ from dagsched.dagio import (
     generate_random_dag,
     parse_dag,
     parse_platform,
+    quote_name,
     write_bench_csv,
     write_schedule_log,
 )
@@ -35,6 +38,7 @@ from dagsched.errors import (
 )
 from dagsched.evaluator import Chromosome, evaluate
 from dagsched.minmin import min_min_schedule
+from dagsched.platform import LinkSpec, Machine, build_platform
 
 from conftest import REF_EDGES, REF_WORKS, documents
 from _oracles import parse_dag_by_fields
@@ -318,6 +322,52 @@ class TestScheduleLog:
         write_schedule_log(g, p, tl, c, sink)
         assert sink.getvalue() == "Schedule job1 on Machine2\nSimulation Time: 7.000000\n"
 
+    @pytest.mark.parametrize("task, machine, line", [
+        ("x on Machine2", "Machine1", 'Schedule "x on Machine2" on Machine1'),
+        ("job1", "rack on 2", 'Schedule job1 on "rack on 2"'),
+        ("a on", "b", 'Schedule "a on" on b'),  # unquoted, "a on on b" also reads as task a on machine "on b"
+        ("on b", "c", 'Schedule "on b" on c'),
+        ('"q', 'M "1"', 'Schedule "\\"q" on M "1"'),
+        ("job 1,2", "Machine 3", "Schedule job 1,2 on Machine 3"),
+    ])
+    def test_name_that_could_be_misread_is_quoted(self, task, machine, line):
+        g = build_graph([TaskNode("j", task, 7.0)], [])
+        p = build_platform([Machine("m", machine, 1.0)])
+        c = Chromosome(["j"], ["m"])
+        tl = evaluate(g, p, c)
+        sink = io.StringIO()
+        write_schedule_log(g, p, tl, c, sink)
+        assert sink.getvalue() == f"{line}\nSimulation Time: 7.000000\n"
+
+
+def read_names(text, sep):
+    """Split a line written as `sep`.join(quote_name(n, sep) for n in names) back into the names."""
+    names = []
+    while True:
+        if text.startswith('"'):
+            name, end = json.JSONDecoder().raw_decode(text)
+        else:
+            end = text.find(sep) if sep in text else len(text)
+            name = text[:end]
+        names.append(name)
+        if end == len(text):
+            return names
+        assert text.startswith(sep, end)
+        text = text[end + len(sep):]
+
+
+class TestQuoteName:
+    # names that start or end with a piece of a separator or a quote, so that they often sit next to one
+    @given(st.lists(st.tuples(st.sampled_from(["", "on ", ",", '"']), st.sampled_from(["x", "", " on ", "\\\u00e9"]),
+                              st.sampled_from(["", " on", ",", '"'])).map("".join), min_size=1, max_size=4),
+           st.sampled_from([" on ", ","]))
+    def test_a_line_of_quoted_names_reads_back(self, names, sep):
+        assert read_names(sep.join(quote_name(n, sep) for n in names), sep) == names
+
+    @pytest.mark.parametrize("name", ["job1", "Machine90", "x,y", "one", "", 'a"b'])
+    def test_a_name_that_cannot_be_misread_is_kept(self, name):
+        assert quote_name(name, " on ") == name
+
 
 def bench_row(ga=50.0, mm=60.0):
     return BenchRow(instance="10x2-s0", n_tasks=10, n_machines=2, width=3, ccr=0.5,
@@ -436,6 +486,37 @@ class TestGeneratePlatform:
         p = generate_platform(90, seed=0)
         assert len(p.machines) == 90
         assert all(m.speed == 1.0 for m in p.machines)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 90, 91, 200])
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 31 - 1])
+    def test_records_are_the_unit_machines(self, n, seed):
+        expected = tuple(Machine(id=f"m{i}", name=f"Machine{i}", speed=1.0) for i in range(1, n + 1))
+        p = generate_platform(n, seed=seed)
+        assert p.machines == expected
+        assert p.machine_ids == tuple(m.id for m in expected)
+        assert p.default_link == LinkSpec("*", "*", 1.0, 0.0) and p.links == {} and p.etc_override is None
+
+    def test_records_are_shared_and_frozen(self):
+        big = generate_platform(90).machines
+        small = generate_platform(3).machines
+        assert small == big[:3]
+        assert all(a is b for a, b in zip(small, big))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            small[0].speed = 2.0
+        assert generate_platform(90).machines[0].speed == 1.0
+
+    def test_larger_platform_after_smaller(self):
+        generate_platform(5)
+        n = len(dagio._unit_machines) + 3  # more than any call so far
+        assert [m.id for m in generate_platform(n).machines] == [f"m{i}" for i in range(1, n + 1)]
+        assert generate_platform(4).machines == generate_platform(n).machines[:4]
+
+    def test_platforms_are_distinct(self):
+        a, b = generate_platform(7), generate_platform(7)
+        assert a is not b and a._by_id is not b._by_id and a.links is not b.links
+        a.links[("m1", "m2")] = LinkSpec("m1", "m2", 5.0)  # a Platform is mutable; its records are not
+        a._by_id.pop("m7")
+        assert b.links == {} and "m7" in b._by_id and generate_platform(7).links == {}
 
     def test_no_machines(self):
         with pytest.raises(InvalidValue):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dagsched.dag import DataEdge, TaskNode, build_graph, compute_heights
-from dagsched.errors import InvalidOrder, InvalidValue, NoLinkDefined
+from dagsched.errors import InvalidOrder, InvalidValue, NoLinkDefined, UnknownMachine
 from dagsched.evaluator import Chromosome, CommMode, Timeline, evaluate, lower_bound, ready_time
 from dagsched.ga import GaConfig, generate_individual, run
 from dagsched.minmin import min_min_schedule
@@ -41,6 +41,44 @@ class TestModeMustBeACommMode:
             min_min_schedule(g, p, mode)
         with pytest.raises(InvalidValue, match=message):
             run(g, p, GaConfig(pop_size=4, max_iters=1), mode)
+
+
+class TestErrorContract:
+    """The errors a faster evaluator must keep, and the instances it must not reject."""
+
+    @staticmethod
+    def chain():
+        return build_graph([TaskNode(t, t, 2.0) for t in "abc"], [DataEdge("a", "b", 3.0), DataEdge("b", "c", 4.0)])
+
+    @pytest.mark.parametrize("mode", list(CommMode))
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_unknown_machine_in_the_chromosome(self, mode, at):
+        machines = ["M1", "M2", "M1"]
+        machines[at] = "zz"
+        c = Chromosome(["a", "b", "c"], machines)
+        with pytest.raises(UnknownMachine, match="^unknown machine 'zz'$"):
+            evaluate(self.chain(), platform_of(2), c, mode)
+        assert c.fitness is None
+
+    @pytest.mark.parametrize("mode", list(CommMode))
+    def test_invalid_order_is_reported_before_an_unknown_machine(self, mode):
+        with pytest.raises(InvalidOrder):
+            evaluate(self.chain(), platform_of(2), Chromosome(["b", "a", "c"], ["zz", "M1", "M1"]), mode)
+
+    @pytest.mark.parametrize("edges, mode", [
+        ([], CommMode.INCLUDE_TRANSFER),
+        ([], CommMode.IGNORE_TRANSFER),
+        ([DataEdge("a", "b", 3.0), DataEdge("a", "c", 5.0)], CommMode.IGNORE_TRANSFER),
+    ], ids=["no-edges-comm-on", "no-edges-comm-off", "edges-comm-off"])
+    def test_a_missing_link_that_no_transfer_uses(self, edges, mode):
+        # only M1 -> M2 is defined and there is no default link
+        g = build_graph([TaskNode("a", "a", 2.0), TaskNode("b", "b", 3.0), TaskNode("c", "c", 4.0)], edges)
+        p = build_platform([Machine("M1", "Machine1", 1.0), Machine("M2", "Machine2", 1.0)],
+                           links=[LinkSpec("M1", "M2", bandwidth=1.0)])
+        assert evaluate(g, p, Chromosome(["a", "b", "c"], ["M2", "M1", "M2"]), mode).makespan == 6.0
+        assert min_min_schedule(g, p, mode)[1].makespan == 6.0
+        best, timeline, _ = run(g, p, GaConfig(pop_size=6, max_iters=5), mode)
+        assert timeline.makespan == best.fitness == evaluate(g, p, best.copy(), mode).makespan
 
 
 class TestEvaluate:
