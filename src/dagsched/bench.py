@@ -53,8 +53,8 @@ def run_instance(n_tasks: int, n_machines: int, width: int, ccr: float, seed: in
     """One grid cell: generate the instance, run GA (cfg with the cell's seed) and min-min on it."""
     spec = GenSpec(n_tasks=n_tasks, width=width, ccr=ccr, seed=seed)
     g, _ = generate_random_dag(spec)
-    p = generate_platform(n_machines, seed=seed)
-    best, _, stats = run(g, p, replace(cfg or GaConfig(), rng_seed=seed), mode)
+    p = generate_platform(n_machines)
+    best, _, stats = run(g, p, GaConfig(rng_seed=seed) if cfg is None else replace(cfg, rng_seed=seed), mode)
     _, mm_timeline = min_min_schedule(g, p, mode)
     seed_chromo = load_balanced_individual(g, p, compute_heights(g))
     evaluate(g, p, seed_chromo, mode)

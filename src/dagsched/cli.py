@@ -56,7 +56,8 @@ def _load_instance(args):
 _COMM_MODES = {"on": CommMode.INCLUDE_TRANSFER, "off": CommMode.IGNORE_TRANSFER}  # --comm's values
 
 
-def _add_ga_flags(sp: argparse.ArgumentParser) -> None:
+def _add_run_flags(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--comm", choices=_COMM_MODES, default="on", help="include data-transfer time in start times")
     sp.add_argument("--pop", type=int, default=GaConfig.pop_size, help="population size")
     sp.add_argument("--iters", type=int, default=GaConfig.max_iters, help="maximum iterations")
     sp.add_argument("--stagnation", type=int, default=GaConfig.stagnation_limit,
@@ -178,11 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("dag")
     sp.add_argument("platform")
     sp.add_argument("--alg", choices=["ga", "minmin"], default="ga")
-    sp.add_argument("--comm", choices=_COMM_MODES, default="on",
-                    help="include data-transfer time in start times")
     sp.add_argument("--out", default=None, help="schedule log path (default: stdout)")
     sp.add_argument("--seed", type=int, default=GaConfig.rng_seed, help="RNG seed")
-    _add_ga_flags(sp)
+    _add_run_flags(sp)
     sp.set_defaults(func=cmd_schedule)
 
     # no abbreviations: "--seed 3" must not pass as "--seeds 3"
@@ -192,9 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seeds", type=int, default=bench_mod.DEFAULT_SEEDS,
                     help="seeds per shape")
     sp.add_argument("--ccr", type=float, default=bench_mod.DEFAULT_CCR)
-    sp.add_argument("--comm", choices=_COMM_MODES, default="on")
     sp.add_argument("--out", default="bench.csv", help="output CSV path")
-    _add_ga_flags(sp)
+    _add_run_flags(sp)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("gen", help="generate a random layered DAG document")

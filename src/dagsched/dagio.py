@@ -224,7 +224,7 @@ def generate_random_dag(spec: GenSpec) -> Tuple[TaskGraph, Dict[TaskId, int]]:
         if tid not in has_child:
             edge_pairs.append((tid, ids[-1]))
 
-    if spec.ccr == 0 or not edge_pairs:
+    if spec.ccr == 0:
         volumes = [0.0] * len(edge_pairs)
     else:
         mean_bytes = spec.ccr * statistics.fmean(works)
@@ -240,8 +240,8 @@ def generate_platform(n_machines: int, seed: int = 0) -> Platform:
     is the same for every seed, and every platform shares one tuple of frozen machine records.
     """
     global _unit_machines
-    if n_machines < 1:
-        raise InvalidValue("n_machines must be >= 1")
+    if type(n_machines) is not int or n_machines < 1:
+        raise InvalidValue(f"n_machines must be an int >= 1, got {n_machines!r}")
     if len(machines := _unit_machines) < n_machines:  # a concurrent caller keeps slicing the tuple it read
         machines = _unit_machines = tuple(Machine(f"m{i}", f"Machine{i}", 1.0) for i in range(1, n_machines + 1))
     return build_platform(machines[:n_machines], default_link=_UNIT_LINK)

@@ -16,6 +16,12 @@ class CommMode(enum.Enum):
     IGNORE_TRANSFER = "ignore"
 
 
+def _include_transfers(mode: CommMode) -> bool:
+    if not isinstance(mode, CommMode):
+        raise InvalidValue(f"mode must be a CommMode, got {mode!r}")
+    return mode is CommMode.INCLUDE_TRANSFER
+
+
 @dataclass
 class Chromosome:
     """One candidate schedule: a valid task order plus a machine per position."""
@@ -60,13 +66,11 @@ def evaluate(g: TaskGraph, p: Platform, c: Chromosome,
     Positions are processed in chromosome order; a task starts at the later of its
     data-ready time and the finish of its machine's previous task in that order.
     """
-    if not isinstance(mode, CommMode):
-        raise InvalidValue(f"mode must be a CommMode, got {mode!r}")
+    include = _include_transfers(mode)
     if len(c.machines) != len(c.order) or not is_valid_order(g, c.order):
         raise InvalidOrder("chromosome needs every task once, parents first, and one machine per task")
     tl = Timeline()
     available: Dict[MachineId, float] = {}
-    include = mode is CommMode.INCLUDE_TRANSFER
     for tid, mid in zip(c.order, c.machines):
         ready, free = ready_time(g, p, tl, tid, mid, include), available.get(mid, 0.0)
         tl.start[tid] = start = ready if ready > free else free

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .dag import HeightMap, TaskGraph, TaskId, adjust_heights, compute_heights, ready_tasks
 from .errors import InvalidValue
-from .evaluator import Chromosome, CommMode, Timeline, evaluate
+from .evaluator import Chromosome, CommMode, Timeline, _include_transfers, evaluate
 from .platform import Platform, execution_time
 
 
@@ -120,6 +120,8 @@ def rank_select_pairs(members: List[Chromosome], n_pairs: int,
     distinct members. Each draw is `choices(idx, cum_weights=cum)`'s own draw
     written out, so the stream depends on `random()` alone.
     """
+    if len(members) < 2:  # a lone member would redraw its partner forever
+        raise InvalidValue(f"rank selection needs at least two members, got {len(members)}")
     fitness = [c.fitness for c in members]
     idx = sorted(range(len(members)), key=fitness.__getitem__)
     n = len(idx)
@@ -213,6 +215,7 @@ def update_population(members: List[Chromosome], children: List[Chromosome]) -> 
 def run(g: TaskGraph, p: Platform, cfg: GaConfig,
         mode: CommMode = CommMode.INCLUDE_TRANSFER) -> Tuple[Chromosome, Timeline, RunStats]:
     """Full GA run; fully reproducible from cfg.rng_seed."""
+    _include_transfers(mode)  # a bad mode fails here, not after the population's walks
     t0 = time.perf_counter()
     rng = random.Random(cfg.rng_seed)
     heights = compute_heights(g)
@@ -242,6 +245,6 @@ def run(g: TaskGraph, p: Platform, cfg: GaConfig,
         if stagnant >= cfg.stagnation_limit:
             break
 
-    timeline = evaluate(g, p, members[0].copy(), mode)
+    timeline = evaluate(g, p, members[0], mode)  # stamps the fitness members[0] already has
     stats.wall_time_s = time.perf_counter() - t0
     return members[0], timeline, stats

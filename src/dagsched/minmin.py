@@ -5,9 +5,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .dag import TaskGraph, TaskId
-from .errors import InvalidValue
 # evaluate and transfer_time stay bound, though uncalled here: perfbench/tracing.py wraps these names
-from .evaluator import Chromosome, CommMode, Timeline, evaluate, ready_time  # noqa: F401
+from .evaluator import Chromosome, CommMode, Timeline, _include_transfers, evaluate, ready_time  # noqa: F401
 from .platform import Platform, execution_time, transfer_time  # noqa: F401
 
 
@@ -22,9 +21,7 @@ def min_min_schedule(g: TaskGraph, p: Platform,
     ``execution_time`` calls in all; a commit re-times the committed machine's
     column of each ready row by arithmetic alone.
     """
-    if not isinstance(mode, CommMode):
-        raise InvalidValue(f"mode must be a CommMode, got {mode!r}")
-    include = mode is CommMode.INCLUDE_TRANSFER
+    include = _include_transfers(mode)
     tl = Timeline()
     ids, mids = g.task_ids, p.machine_ids
     rank = {tid: r for r, tid in enumerate(ids)}

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -9,7 +10,9 @@ from dagsched import bench as bench_mod
 from dagsched import cli as cli_mod
 from dagsched import ga
 from dagsched.cli import main
-from dagsched.dagio import GenSpec, generate_random_dag, parse_dag
+from dagsched.dagio import GenSpec, generate_random_dag, parse_dag, parse_platform
+from dagsched.evaluator import CommMode
+from dagsched.minmin import min_min_schedule
 
 from conftest import REF_EDGES, REF_WORKS, documents
 
@@ -149,6 +152,34 @@ class TestSchedule:
         assert seen == [mode]
         out = capsys.readouterr().out
         assert out.startswith("makespan: ") and "Simulation Time: " in out
+
+
+class TestCommFlag:
+    def test_schedule_off_ignores_transfers(self, tmp_path, capsys):
+        dag = tmp_path / "dag.json"
+        write_ref_dag(dag)
+        slow = tmp_path / "slow.json"  # 2 bytes at bandwidth 0.1 take 20, about a task's work
+        slow.write_text(json.dumps({"machines": [{"id": "m1", "speed": 1}, {"id": "m2", "speed": 1}],
+                                    "default_link": {"bandwidth": 0.1}}))
+        g, p = parse_dag(dag.read_text()), parse_platform(slow.read_text())
+        makespans = {mode: min_min_schedule(g, p, mode)[1].makespan for mode in CommMode}
+        assert makespans[CommMode.IGNORE_TRANSFER] != makespans[CommMode.INCLUDE_TRANSFER]  # the flag shows
+        for flag, mode in (("off", CommMode.IGNORE_TRANSFER), ("on", CommMode.INCLUDE_TRANSFER)):
+            assert main(["schedule", str(dag), str(slow), "--alg", "minmin", "--comm", flag]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"makespan: {makespans[mode]:.6f}"
+
+    def test_bench_off_writes_ignore(self, tmp_path, capsys):
+        out_csv = tmp_path / "bench.csv"
+        assert main(["bench", "--shapes", "10x2", "--seeds", "1", "--comm", "off", "--out", str(out_csv)]) == 0
+        (row,) = csv.DictReader(out_csv.read_text().splitlines())
+        assert row["comm_mode"] == "ignore"
+
+    @pytest.mark.parametrize("command", ["schedule", "bench"])
+    def test_help_describes_comm(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--comm {on,off} include data-transfer time in start times" in " ".join(capsys.readouterr().out.split())
 
 
 class TestGaFlagDefaults:

@@ -521,3 +521,9 @@ class TestGeneratePlatform:
     def test_no_machines(self):
         with pytest.raises(InvalidValue):
             generate_platform(0)
+
+    @pytest.mark.parametrize("n", [0, 2.5, "3", None, True])
+    def test_count_must_be_a_positive_int(self, n):
+        # True is an int subclass, so only an exact int is a count
+        with pytest.raises(InvalidValue, match=f"^n_machines must be an int >= 1, got {re.escape(repr(n))}$"):
+            generate_platform(n)

@@ -184,6 +184,15 @@ class TestRankSelection:
         for n in counts.values():
             assert n / 40_000 == pytest.approx(0.25, abs=0.05)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_members(self, n):
+        # a lone member has no distinct partner, and an empty population nothing to draw from
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(InvalidValue, match=f"^rank selection needs at least two members, got {n}$"):
+            rank_select_pairs(self._pop([1.0] * n), 1, rng)
+        assert rng.getstate() == state
+
     @given(st.lists(st.integers(0, 4).map(float), min_size=2, max_size=120), st.integers(0, 2**32 - 1))
     def test_same_draws_as_per_draw_tie_averaged_weights(self, fitnesses, seed):
         pop = self._pop(fitnesses)
@@ -447,6 +456,14 @@ class TestRun:
         opt = brute_force_optimum(g, p, CommMode.INCLUDE_TRANSFER)
         assert best.fitness >= opt - 1e-9
         assert best.fitness == pytest.approx(opt, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["include", True, None])
+    def test_bad_mode_fails_before_the_population_is_built(self, monkeypatch, seven_machines, mode):
+        calls = []
+        monkeypatch.setattr(ga, "generate_individual", lambda *args: calls.append(args))
+        with pytest.raises(InvalidValue, match="^mode must be a CommMode"):
+            run(make_ref_graph(5.0), seven_machines, GaConfig(pop_size=4, max_iters=1), mode)
+        assert calls == []
 
     def test_stagnation_stops_early(self, seven_machines):
         g = make_ref_graph(0.0)
