@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 
 from .dag import TaskGraph, TaskId, _longest, is_valid_order
 from .errors import InvalidOrder, InvalidValue
-from .platform import MachineId, Platform, execution_time, transfer_time
+from .platform import MachineId, Platform, _link, execution_time, transfer_time  # noqa: F401  (tracing wraps transfer_time)
 
 
 class CommMode(enum.Enum):
@@ -49,11 +49,15 @@ def ready_time(g: TaskGraph, p: Platform, tl: Timeline, tid: TaskId, mid: Machin
     false, is ready when that parent finishes; a task without parents is
     ready at 0.
     """
-    ready, finish, host = 0.0, tl.finish, tl.machine
+    ready, finish, host, into = 0.0, tl.finish, tl.machine, p._into
     for q, nbytes in g._inputs[tid]:
         t = finish[q]
         if include and (src := host[q]) != mid:
-            t += transfer_time(p, nbytes, src, mid)
+            try:
+                lat, bw = into[mid][src]
+            except KeyError:  # table not built yet, unknown machine, or no link
+                lat, bw = _link(p, src, mid)
+            t += lat + nbytes / bw  # transfer_time's grouping, so the float is the same
         if t > ready:
             ready = t
     return ready

@@ -36,9 +36,10 @@ def min_min_schedule(g: TaskGraph, p: Platform,
     while len(tl.machine) < len(ids):
         for tid in fresh:
             ready, run, fin = rows[tid] = [], [], []
+            node = g._by_id[tid]
             for m, a in zip(mids, available):  # task then machine: a missing link fails at its first pair
                 ready.append(r := ready_time(g, p, tl, tid, m, include))
-                run.append(x := execution_time(p, g._by_id[tid], m))
+                run.append(x := execution_time(p, node, m))
                 fin.append((r if r > a else a) + x)
             f = min(fin)
             best[tid] = f, rank[tid], fin.index(f)

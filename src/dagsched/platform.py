@@ -32,7 +32,8 @@ class Platform:
 
     `etc_override` maps task id -> machine id -> execution time and takes
     precedence over the work/speed model; it is None when there are no rows.
-    Construct through :func:`build_platform`.
+    Construct through :func:`build_platform` and do not edit afterwards: `_into`,
+    dst -> src -> (latency, bandwidth), is derived from `links` and `default_link`.
     """
 
     def __init__(self, machines: Tuple[Machine, ...], by_id: Dict[MachineId, Machine],
@@ -45,6 +46,7 @@ class Platform:
         self.etc_override = etc_override
         self.machine_ids = tuple(by_id)
         self._by_id = by_id
+        self._into: Dict[MachineId, Dict[MachineId, Tuple[float, float]]] = {}
 
     def machine(self, mid: MachineId) -> Machine:
         try:
@@ -109,13 +111,26 @@ def execution_time(p: Platform, t: TaskNode, m: MachineId) -> float:
 
 
 def transfer_time(p: Platform, nbytes: float, src: MachineId, dst: MachineId) -> float:
-    """Time to move nbytes from src to dst; 0 within one machine. An empty link table is not searched."""
-    if src not in p._by_id or dst not in p._by_id:
-        p.machine(src)  # raises UnknownMachine, naming src first
-        p.machine(dst)
+    """Time to move nbytes from src to dst: latency + nbytes / bandwidth of the link `_link` picks; 0 on one machine."""
     if src == dst:
+        p.machine(src)  # an unknown machine is an error here too
         return 0.0
-    link = p.links.get((src, dst), p.default_link) if p.links else p.default_link
-    if link is None:
+    lat, bw = _link(p, src, dst)
+    return lat + nbytes / bw
+
+
+def _link(p: Platform, src: MachineId, dst: MachineId) -> Tuple[float, float]:
+    """(latency, bandwidth) of the explicit src -> dst link, else of the default; builds p._into on first use."""
+    p.machine(src)  # raises UnknownMachine, naming src first
+    p.machine(dst)
+    if not p._into:
+        shared = {} if (d := p.default_link) is None else dict.fromkeys(p.machine_ids, (d.latency, d.bandwidth))
+        into = dict.fromkeys(p.machine_ids, shared)  # a destination with no explicit link into it keeps this row
+        for ln in p.links.values():
+            if into[ln.dst] is shared:
+                into[ln.dst] = dict(shared)
+            into[ln.dst][ln.src] = ln.latency, ln.bandwidth
+        p._into = into
+    if (link := p._into[dst].get(src)) is None:
         raise NoLinkDefined(f"no link {src!r} -> {dst!r} and no default link")
-    return link.latency + nbytes / link.bandwidth
+    return link

@@ -60,6 +60,26 @@ class TestErrorContract:
             evaluate(self.chain(), platform_of(2), c, mode)
         assert c.fitness is None
 
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_unknown_machine_after_the_link_table_is_built(self, at):
+        p = platform_of(2)
+        evaluate(self.chain(), p, Chromosome(["a", "b", "c"], ["M1", "M2", "M1"]))  # builds the table
+        machines = ["M1", "M2", "M1"]
+        machines[at] = "zz"
+        with pytest.raises(UnknownMachine, match="^unknown machine 'zz'$"):
+            evaluate(self.chain(), p, Chromosome(["a", "b", "c"], machines))
+
+    def test_a_missing_link_then_a_present_one_on_the_same_platform(self):
+        # only M1 -> M2 is defined and there is no default link
+        g = self.chain()
+        p = build_platform([Machine("M1", "Machine1", 1.0), Machine("M2", "Machine2", 1.0)],
+                           links=[LinkSpec("M1", "M2", bandwidth=2.0, latency=0.5)])
+        with pytest.raises(NoLinkDefined, match="^no link 'M2' -> 'M1' and no default link$"):
+            evaluate(g, p, Chromosome(["a", "b", "c"], ["M1", "M2", "M1"]))
+        order, machines = ["a", "b", "c"], ["M1", "M1", "M2"]
+        got = evaluate(g, p, Chromosome(order, machines))
+        assert got == Timeline(*timeline_from_scratch(g, p, order, machines))
+
     @pytest.mark.parametrize("mode", list(CommMode))
     def test_invalid_order_is_reported_before_an_unknown_machine(self, mode):
         with pytest.raises(InvalidOrder):

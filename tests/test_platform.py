@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dagsched.dag import TaskNode
 from dagsched.errors import InvalidValue, NoLinkDefined, NonPositiveSpeed, UnknownMachine
@@ -100,6 +102,42 @@ class TestTransferTime:
     def test_unknown_machine_named_src_first(self, src, dst, named):
         with pytest.raises(UnknownMachine, match=f"^unknown machine '{named}'$"):
             transfer_time(two_machines(), 1.0, src, dst)
+
+
+@st.composite
+def platforms_and_queries(draw):
+    """A platform of 1-4 machines and every ordered pair of its machines, shuffled.
+
+    Links are one default link, a link for every ordered pair, some explicit
+    links over a default one, or some explicit links and no default.
+    """
+    mids = [f"M{k}" for k in range(draw(st.integers(1, 4)))]
+    pairs = [(a, b) for a in mids for b in mids if a != b]
+    kind = draw(st.sampled_from(["default", "explicit", "mixed", "no-default"]))
+    if kind in ("mixed", "no-default") and pairs:
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    else:
+        chosen = pairs if kind == "explicit" else []
+    bandwidth, latency = st.floats(0.1, 50.0), st.floats(0.0, 3.0)
+    links = [LinkSpec(a, b, draw(bandwidth), draw(latency)) for a, b in chosen]
+    default = LinkSpec("*", "*", draw(bandwidth), draw(latency)) if kind in ("default", "mixed") else None
+    p = build_platform([Machine(m, m, 1.0) for m in mids], links, default)
+    return p, draw(st.permutations([(a, b) for a in mids for b in mids]))
+
+
+@given(platforms_and_queries(), st.floats(0.0, 1e6))
+def test_transfer_time_is_the_oracle_link_on_every_pair(case, nbytes):
+    # the first off-machine query builds the platform's link table; every later one reads it
+    p, queries = case
+    for src, dst in queries:
+        link = p.links.get((src, dst), p.default_link)  # the rule as the oracles read it
+        if src == dst:
+            assert transfer_time(p, nbytes, src, dst) == 0.0
+        elif link is None:
+            with pytest.raises(NoLinkDefined, match=f"^no link '{src}' -> '{dst}' and no default link$"):
+                transfer_time(p, nbytes, src, dst)
+        else:
+            assert transfer_time(p, nbytes, src, dst) == link.latency + nbytes / link.bandwidth, (src, dst)
 
 
 def test_machine_ids_tuple_in_declaration_order():
