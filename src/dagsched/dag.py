@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Container, Dict, List, Sequence, Set, Tuple
+from typing import Container, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .errors import (
     CycleDetected,
@@ -87,13 +87,13 @@ class TaskGraph:
         return [t.id for t in self.tasks if not self._children[t.id]]
 
 
-def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGraph:
+def build_graph(tasks: Iterable[TaskNode], edges: Iterable[DataEdge]) -> TaskGraph:
     """Validate tasks and edges and return an immutable TaskGraph.
 
     Raises EmptyGraph, DuplicateTaskId, SelfLoop, UnknownEdgeEndpoint,
     DuplicateEdge, or CycleDetected (reporting one cycle's task ids).
     """
-    if not tasks:
+    if not (tasks := tuple(tasks)):
         raise EmptyGraph("a task graph needs at least one task")
     by_id: Dict[TaskId, TaskNode] = {}
     for t in tasks:
@@ -108,7 +108,7 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
     inputs: Dict[TaskId, List[Tuple[TaskId, float]]] = {tid: [] for tid in by_id}
     children: Dict[TaskId, List[TaskId]] = {tid: [] for tid in by_id}
     seen: Set[Tuple[TaskId, TaskId]] = set()
-    for e in edges:
+    for e in (edges := tuple(edges)):
         src, dst, nb = e.src, e.dst, e.bytes
         if src == dst:
             raise SelfLoop(f"self loop on task {src!r}")
@@ -148,7 +148,7 @@ def build_graph(tasks: Sequence[TaskNode], edges: Sequence[DataEdge]) -> TaskGra
     for links in (parents, inputs, children):  # to tuples in place, each list freed as it goes
         for tid, ls in links.items():
             links[tid] = tuple(ls)
-    return TaskGraph(tuple(tasks), tuple(edges), by_id, parents, inputs, children, tuple(order))
+    return TaskGraph(tasks, edges, by_id, parents, inputs, children, tuple(order))
 
 
 def _longest(g: TaskGraph, weight: dict, zeroed: Container[TaskId] = ()) -> dict:

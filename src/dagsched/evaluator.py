@@ -55,7 +55,7 @@ def ready_time(g: TaskGraph, p: Platform, tl: Timeline, tid: TaskId, mid: Machin
         if include and (src := host[q]) != mid:
             try:
                 lat, bw = into[mid][src]
-            except KeyError:  # table not built yet, unknown machine, or no link
+            except KeyError:  # unknown machine or no link
                 lat, bw = _link(p, src, mid)
             t += lat + nbytes / bw  # transfer_time's grouping, so the float is the same
         if t > ready:

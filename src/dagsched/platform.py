@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from .dag import TaskId, TaskNode
 from .errors import InvalidValue, NoLinkDefined, NonPositiveBandwidth, NonPositiveSpeed, UnknownMachine
@@ -27,26 +28,23 @@ class LinkSpec:
     latency: float = 0.0
 
 
+@dataclass(frozen=True, eq=False)
 class Platform:
-    """Machines plus a directed link table with an optional default link.
+    """Machines plus a directed link table with an optional default link; read-only once built.
 
-    `etc_override` maps task id -> machine id -> execution time and takes
-    precedence over the work/speed model; it is None when there are no rows.
-    Construct through :func:`build_platform` and do not edit afterwards: `_into`,
-    dst -> src -> (latency, bandwidth), is derived from `links` and `default_link`.
+    `links` maps (src, dst) to its explicit link. `etc_override` maps task id -> machine
+    id -> execution time and takes precedence over the work/speed model; it is None when
+    there are no rows. Construct through :func:`build_platform`, which also derives `_into`,
+    dst -> src -> (latency, bandwidth) of the link serving each pair, from the links.
     """
 
-    def __init__(self, machines: Tuple[Machine, ...], by_id: Dict[MachineId, Machine],
-                 links: Dict[Tuple[MachineId, MachineId], LinkSpec],
-                 default_link: Optional[LinkSpec],
-                 etc_override: Optional[Dict[TaskId, Dict[MachineId, float]]]):
-        self.machines = machines
-        self.links = links
-        self.default_link = default_link
-        self.etc_override = etc_override
-        self.machine_ids = tuple(by_id)
-        self._by_id = by_id
-        self._into: Dict[MachineId, Dict[MachineId, Tuple[float, float]]] = {}
+    machines: Tuple[Machine, ...]
+    links: Mapping[Tuple[MachineId, MachineId], LinkSpec]
+    default_link: Optional[LinkSpec]
+    etc_override: Optional[Dict[TaskId, Dict[MachineId, float]]]
+    machine_ids: Tuple[MachineId, ...]
+    _by_id: Dict[MachineId, Machine] = field(repr=False)
+    _into: Dict[MachineId, Dict[MachineId, Tuple[float, float]]] = field(repr=False)
 
     def machine(self, mid: MachineId) -> Machine:
         try:
@@ -54,13 +52,16 @@ class Platform:
         except KeyError:
             raise UnknownMachine(f"unknown machine {mid!r}") from None
 
+    def __reduce__(self):  # a read-only mapping cannot be pickled, so a copy is rebuilt and re-checked
+        return build_platform, (self.machines, tuple(self.links.values()), self.default_link, self.etc_override)
 
-def build_platform(machines: Sequence[Machine],
-                   links: Sequence[LinkSpec] = (),
+
+def build_platform(machines: Iterable[Machine],
+                   links: Iterable[LinkSpec] = (),
                    default_link: Optional[LinkSpec] = None,
                    etc_override: Optional[Mapping[TaskId, Mapping[MachineId, float]]] = None) -> Platform:
     """Validate and assemble a Platform."""
-    if not machines:
+    if not (machines := tuple(machines)):
         raise InvalidValue("a platform needs at least one machine")
     by_id: Dict[MachineId, Machine] = {}
     for m in machines:
@@ -91,7 +92,13 @@ def build_platform(machines: Sequence[Machine],
         for mid in by_id:
             if mid not in row:
                 raise InvalidValue(f"etc row for task {tid!r} has no entry for machine {mid!r}")
-    return Platform(tuple(machines), by_id, table, default_link, etc or None)
+    shared = {} if default_link is None else dict.fromkeys(by_id, (default_link.latency, default_link.bandwidth))
+    into = dict.fromkeys(by_id, shared)  # a destination with no explicit link into it keeps this row
+    for ln in table.values():
+        if into[ln.dst] is shared:
+            into[ln.dst] = dict(shared)
+        into[ln.dst][ln.src] = ln.latency, ln.bandwidth
+    return Platform(machines, MappingProxyType(table), default_link, etc or None, tuple(by_id), by_id, into)
 
 
 def _check_link(ln: LinkSpec) -> None:
@@ -120,17 +127,9 @@ def transfer_time(p: Platform, nbytes: float, src: MachineId, dst: MachineId) ->
 
 
 def _link(p: Platform, src: MachineId, dst: MachineId) -> Tuple[float, float]:
-    """(latency, bandwidth) of the explicit src -> dst link, else of the default; builds p._into on first use."""
+    """(latency, bandwidth) of the explicit src -> dst link, else of the default, read from p._into."""
     p.machine(src)  # raises UnknownMachine, naming src first
     p.machine(dst)
-    if not p._into:
-        shared = {} if (d := p.default_link) is None else dict.fromkeys(p.machine_ids, (d.latency, d.bandwidth))
-        into = dict.fromkeys(p.machine_ids, shared)  # a destination with no explicit link into it keeps this row
-        for ln in p.links.values():
-            if into[ln.dst] is shared:
-                into[ln.dst] = dict(shared)
-            into[ln.dst][ln.src] = ln.latency, ln.bandwidth
-        p._into = into
     if (link := p._into[dst].get(src)) is None:
         raise NoLinkDefined(f"no link {src!r} -> {dst!r} and no default link")
     return link

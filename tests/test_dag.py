@@ -60,6 +60,18 @@ class TestBuildGraph:
         g = build_graph([TaskNode(t, t, 1.0) for t in ("c", "a", "b")], [DataEdge("b", "c", 0.0)])
         assert g.task_ids == ("c", "a", "b") and type(g.task_ids) is tuple
 
+    def test_one_shot_iterables_build_the_same_graph_as_lists(self):
+        tasks = [TaskNode(t, t, 1.0) for t in ("c", "a", "b")]
+        edges = [DataEdge("a", "b", 2.0), DataEdge("a", "c", 3.0), DataEdge("b", "c", 0.0)]
+        g, h = build_graph(tasks, edges), build_graph((t for t in tasks), iter(edges))
+        assert (h.tasks, h.edges, h.task_ids, h.topo_order, h._inputs) == \
+            (g.tasks, g.edges, g.task_ids, g.topo_order, g._inputs)
+        assert len(h) == 3 and is_valid_order(h, ["a", "b", "c"])
+
+    def test_an_empty_iterator_is_an_empty_graph(self):
+        with pytest.raises(EmptyGraph):
+            build_graph(iter([]), [])
+
     def test_smallest_cycle(self):
         tasks = [TaskNode("t1", "t1", 1.0), TaskNode("t2", "t2", 1.0)]
         edges = [DataEdge("t1", "t2", 0.0), DataEdge("t2", "t1", 0.0)]

@@ -514,7 +514,8 @@ class TestGeneratePlatform:
     def test_platforms_are_distinct(self):
         a, b = generate_platform(7), generate_platform(7)
         assert a is not b and a._by_id is not b._by_id and a.links is not b.links
-        a.links[("m1", "m2")] = LinkSpec("m1", "m2", 5.0)  # a Platform is mutable; its records are not
+        with pytest.raises(TypeError):  # a built Platform's links are read-only
+            a.links[("m1", "m2")] = LinkSpec("m1", "m2", 5.0)
         a._by_id.pop("m7")
         assert b.links == {} and "m7" in b._by_id and generate_platform(7).links == {}
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -127,7 +130,7 @@ def platforms_and_queries(draw):
 
 @given(platforms_and_queries(), st.floats(0.0, 1e6))
 def test_transfer_time_is_the_oracle_link_on_every_pair(case, nbytes):
-    # the first off-machine query builds the platform's link table; every later one reads it
+    # every query reads the link table that build_platform derived
     p, queries = case
     for src, dst in queries:
         link = p.links.get((src, dst), p.default_link)  # the rule as the oracles read it
@@ -217,3 +220,70 @@ class TestInvalidValues:
         with pytest.raises(InvalidValue, match="no entry for machine 'b'"):
             build_platform([Machine("a", "A", 1.0), Machine("b", "B", 1.0)],
                            etc_override={"t": {"a": 2.0}})
+
+
+class TestOneShotIterables:
+    def test_a_generator_builds_the_same_platform_as_a_list(self):
+        ms, links = [Machine("a", "A", 1.0), Machine("b", "B", 2.0)], [LinkSpec("a", "b", 4.0, 0.5)]
+        etc, default = {"t": {"a": 1.0, "b": 2.0}}, LinkSpec("*", "*", 1.0)
+        p = build_platform(ms, links, default, etc)
+        q = build_platform((m for m in ms), iter(links), default, etc)
+        assert (q.machines, q.machine_ids, q.links, q.default_link, q.etc_override, q._by_id, q._into) == \
+            (p.machines, p.machine_ids, p.links, p.default_link, p.etc_override, p._by_id, p._into)
+
+    def test_an_empty_iterator_has_no_machines(self):
+        with pytest.raises(InvalidValue, match="^a platform needs at least one machine$"):
+            build_platform(iter([]))
+
+
+class TestReadOnly:
+    def test_a_built_platform_cannot_be_edited(self):
+        p = two_machines(bandwidth=1.0)
+        assert transfer_time(p, 10.0, "a", "b") == 10.0
+        with pytest.raises(TypeError):
+            p.links[("a", "b")] = LinkSpec("a", "b", 10.0)
+        for name, value in [("links", {}), ("default_link", LinkSpec("*", "*", 10.0)), ("_into", {})]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, value)
+        assert transfer_time(p, 10.0, "a", "b") == transfer_time(p, 10.0, "b", "a") == 10.0
+        assert p.links == {} and p.default_link == LinkSpec("*", "*", 1.0)
+
+    def test_equality_and_hashing_are_by_identity(self):
+        p, q = two_machines(), two_machines()
+        assert p == p and p != q and len({p, q, p}) == 2
+
+
+def _outcome(f, *args):
+    """f's result, or the class and message of the NoLinkDefined or UnknownMachine it raised."""
+    try:
+        return f(*args)
+    except (NoLinkDefined, UnknownMachine) as e:
+        return type(e), str(e)
+
+
+THREE = [Machine("a", "A", 1.0), Machine("b", "B", 2.0), Machine("c", "C", 0.5)]
+PLATFORM_KINDS = {
+    "default-only": lambda: build_platform(THREE, default_link=LinkSpec("*", "*", 4.0, 0.5)),
+    "explicit": lambda: build_platform(THREE, [LinkSpec("a", "b", 2.0, 0.1), LinkSpec("c", "a", 8.0)],
+                                       LinkSpec("*", "*", 1.0, 0.25)),
+    "no-default": lambda: build_platform(THREE, [LinkSpec("a", "b", 2.0, 0.1), LinkSpec("b", "c", 3.0)]),
+    "etc": lambda: build_platform(THREE, default_link=LinkSpec("*", "*", 4.0),
+                                  etc_override={"t": {"a": 1.5, "b": 2.5, "c": 0.0}}),
+}
+
+
+@pytest.mark.parametrize("kind", PLATFORM_KINDS)
+@pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_platform_behaves_like_its_original(kind, copy_of):
+    p = PLATFORM_KINDS[kind]()
+    q = copy_of(p)
+    assert q is not p and q.links is not p.links
+    assert (q.machines, q.machine_ids, q.links, q.default_link, q.etc_override) == \
+        (p.machines, p.machine_ids, p.links, p.default_link, p.etc_override)
+    tasks = [TaskNode("t", "t", 6.0), TaskNode("u", "u", 3.0)]
+    for src in p.machine_ids + ("zz",):
+        for t in tasks:
+            assert _outcome(execution_time, q, t, src) == _outcome(execution_time, p, t, src)
+        for dst in p.machine_ids + ("zz",):
+            assert _outcome(transfer_time, q, 7.0, src, dst) == _outcome(transfer_time, p, 7.0, src, dst)
